@@ -52,7 +52,7 @@ from .paramgen import (
     save_checkpoint,
     update_weights,
 )
-from .sampler import sample, sample_backward
+from .sampler import resample, sample, sample_backward
 from .simulator import (
     CropCube,
     MetricsRecord,
@@ -81,7 +81,7 @@ __all__ = [
     "CropperState", "SgdMomentum", "load_checkpoint", "mlp_backward",
     "mlp_forward", "reverse_gradient", "sample_noise", "save_checkpoint",
     "update_weights",
-    "sample", "sample_backward",
+    "resample", "sample", "sample_backward",
     "CropCube", "MetricsRecord", "RunResult", "TrainConfig",
     "baseline_params", "center_manhattan", "crop_cube",
     "make_synthetic_batch", "render_csv", "run_training", "st_iou",

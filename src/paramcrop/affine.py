@@ -13,6 +13,7 @@ Everything here is differentiable by hand: each forward op has a matching
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,56 +243,81 @@ def generate_grid(t_len: int, h_len: int, w_len: int) -> np.ndarray:
     return np.ascontiguousarray(np.stack([xc, yc, tc], axis=-1))
 
 
-def transform_grid(grid: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply a 3x4 affine matrix to every (x, y, t) point of a grid."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim < 1 or grid.shape[-1] != 3:
-        raise DimensionError(f"grid last axis must be 3, got shape {grid.shape}")
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (3, 4):
-        raise DimensionError(f"affine matrix must be 3x4, got {matrix.shape}")
-    return grid @ matrix[:, :3].T + matrix[:, 3]
-
-
-def transform_grid_backward(
-    grad_coords: np.ndarray, grid: np.ndarray, params: AffineParams
-) -> np.ndarray:
-    """Gradient of a grid transform w.r.t. the six crop parameters.
+def transform_grid(grid: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Apply each of R 3x4 affine matrices to every (x, y, t) point of a grid.
 
     Parameters
     ----------
-    grad_coords : (..., 3) ndarray
-        Loss gradient w.r.t. the transformed coordinates.
     grid : (..., 3) ndarray
-        The *untransformed* grid that was fed to :func:`transform_grid`.
-    params : AffineParams
-        Parameters the matrix was built from (the angle/scale derivative
-        terms depend on them).
+        The shared untransformed grid.
+    matrices : (R, 3, 4) ndarray
+        One crop transform per row; a single crop is a leading axis of 1.
 
     Returns
     -------
-    (6,) ndarray
-        Accumulated gradient in canonical parameter order.
+    (R, ..., 3) ndarray
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim < 1 or grid.shape[-1] != 3:
+        raise DimensionError(f"grid last axis must be 3, got shape {grid.shape}")
+    matrices = np.asarray(matrices, dtype=np.float64)
+    if matrices.ndim != 3 or matrices.shape[1:] != (3, 4):
+        raise DimensionError(
+            f"affine matrices must be (R, 3, 4), got {matrices.shape}"
+        )
+    rows = matrices.shape[0]
+    # One (P, 3) x (3, 3R) product for all rows rather than R small ones.
+    linear = grid.reshape(-1, 3) @ matrices[:, :, :3].reshape(rows * 3, 3).T
+    out = np.empty((rows,) + grid.shape)
+    np.add(
+        linear.reshape(-1, rows, 3).swapaxes(0, 1),
+        matrices[:, None, :, 3],
+        out=out.reshape(rows, -1, 3),
+    )
+    return out
+
+
+def transform_grid_backward(
+    grad_coords: np.ndarray, grid: np.ndarray, params: Sequence[AffineParams]
+) -> np.ndarray:
+    """Gradient of :func:`transform_grid` w.r.t. each row's six crop parameters.
+
+    Parameters
+    ----------
+    grad_coords : (R, ..., 3) ndarray
+        Loss gradient w.r.t. the transformed coordinates.
+    grid : (..., 3) ndarray
+        The *untransformed* grid that was fed to :func:`transform_grid`.
+    params : sequence of R AffineParams
+        Parameters each row's matrix was built from (the angle/scale
+        derivative terms depend on them).
+
+    Returns
+    -------
+    (R, 6) ndarray
+        Per-row accumulated gradient in canonical parameter order.
     """
     g = np.asarray(grad_coords, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
-    if g.shape != grid.shape:
+    if g.shape != (len(params),) + grid.shape:
         raise DimensionError(
-            f"grad/grid shape mismatch: {g.shape} vs {grid.shape}"
+            f"grad/grid shape mismatch: {g.shape} vs "
+            f"{(len(params),) + grid.shape}"
         )
-    x, y, t = grid[..., 0], grid[..., 1], grid[..., 2]
+    x, y, t = grid.reshape(-1, 3).T
+    g = g.reshape(len(params), -1, 3)
     gx, gy, gt = g[..., 0], g[..., 1], g[..., 2]
-    sp = params.spatial_scale
-    c, s = np.cos(params.angle), np.sin(params.angle)
+    sp = np.array([p.spatial_scale for p in params])
+    angle = np.array([p.angle for p in params])
+    c, s = np.cos(angle), np.sin(angle)
+    gx_x, gx_y, gy_x, gy_y = gx @ x, gx @ y, gy @ x, gy @ y
 
-    out = np.zeros(6)
-    out[SPATIAL_SCALE] = float(np.sum(gx * c * x) + np.sum(gy * c * y))
-    out[TEMPORAL_SCALE] = float(np.sum(gt * t))
+    out = np.empty((len(params), 6))
+    out[:, SPATIAL_SCALE] = c * gx_x + c * gy_y
+    out[:, TEMPORAL_SCALE] = gt @ t
     # d/dangle of [sp*c, -s; s, sp*c] applied to (x, y).
-    out[ANGLE] = float(
-        np.sum(gx * (-sp * s * x - c * y)) + np.sum(gy * (c * x - sp * s * y))
-    )
-    out[OFFSET_X] = float(np.sum(gx))
-    out[OFFSET_Y] = float(np.sum(gy))
-    out[OFFSET_T] = float(np.sum(gt))
+    out[:, ANGLE] = (-sp * s * gx_x - c * gx_y) + (c * gy_x - sp * s * gy_y)
+    out[:, OFFSET_X] = np.sum(gx, axis=1)
+    out[:, OFFSET_Y] = np.sum(gy, axis=1)
+    out[:, OFFSET_T] = np.sum(gt, axis=1)
     return out

@@ -14,6 +14,11 @@ Jacobian and finite differences on the raw rows agree with it.  The stricter
 The encoder is toy by design: one valid-padded strided 3D convolution, ReLU,
 global average pooling, a linear projection, then L2 normalisation.  It is
 just large enough that crop placement visibly changes the embedding.
+
+The encoder is batch-first: :func:`encode` takes (R, C, T, H, W) clips and
+runs the convolution for all of them as one im2col matmul, and
+:func:`encode_backward` returns the weight gradients summed over the rows.
+A single clip is a leading axis of 1.
 """
 
 from __future__ import annotations
@@ -178,101 +183,149 @@ class ToyEncoder:
 
 @dataclass(frozen=True)
 class EncodeCache:
-    """Forward intermediates for :func:`encode_backward`."""
+    """Forward intermediates for :func:`encode_backward`, one row per clip.
+
+    ``conv_pre`` is (R, T', H', W', O): the pre-activation of every output
+    position and conv channel; ``norm`` is (R,).
+    """
 
     video: np.ndarray
     conv_pre: np.ndarray
     pooled: np.ndarray
     projected: np.ndarray
-    norm: float
+    norm: np.ndarray
 
 
-def _conv_windows(video: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(
-        video, (kernel, kernel, kernel), axis=(1, 2, 3)
+def _feature_shape(video_shape: tuple[int, ...], kernel: int, stride: int):
+    return tuple((n - kernel) // stride + 1 for n in video_shape[2:])
+
+
+def _im2col(video: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """(R, C, T, H, W) -> (R * P, C * K^3): one row per output position."""
+    video = np.ascontiguousarray(video)
+    s_r, s_c, s_t, s_h, s_w = video.strides
+    # Strided view (R, t, h, w, C, i, j, k) over the clips, copied once.
+    windows = np.ndarray(
+        video.shape[:1] + _feature_shape(video.shape, kernel, stride)
+        + (video.shape[1],) + (kernel,) * 3,
+        dtype=video.dtype,
+        buffer=video,
+        strides=(s_r, stride * s_t, stride * s_h, stride * s_w, s_c, s_t, s_h, s_w),
     )
-    return win[:, ::stride, ::stride, ::stride]
+    return windows.reshape(-1, video.shape[1] * kernel**3)
 
 
 def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]:
-    """Embed one video clip; returns a unit-norm embedding and a cache."""
+    """Embed R clips with one im2col matmul.
+
+    Parameters
+    ----------
+    video : (R, C, T, H, W) ndarray
+        One clip per row; a single clip is a leading axis of 1.
+
+    Returns
+    -------
+    (embeddings, cache)
+        ``embeddings`` is (R, embed_dim), each row unit-norm (or zero when
+        its projection vanishes).
+    """
     video = np.asarray(video, dtype=np.float64)
-    if video.ndim != 4:
-        raise DimensionError(f"video must be (C, T, H, W), got {video.shape}")
-    if video.shape[0] != enc.conv_weight.shape[1]:
+    if video.ndim != 5:
+        raise DimensionError(f"video must be (R, C, T, H, W), got {video.shape}")
+    if video.shape[1] != enc.conv_weight.shape[1]:
         raise DimensionError(
-            f"video has {video.shape[0]} channels, encoder expects "
+            f"video has {video.shape[1]} channels, encoder expects "
             f"{enc.conv_weight.shape[1]}"
         )
-    if min(video.shape[1:]) < enc.kernel:
+    if min(video.shape[2:]) < enc.kernel:
         raise DimensionError(
             f"every video axis must be >= kernel {enc.kernel}, "
-            f"got {video.shape[1:]}"
+            f"got {video.shape[2:]}"
         )
-    windows = _conv_windows(video, enc.kernel, enc.stride)
-    pre = np.einsum("cthwijk,ocijk->othw", windows, enc.conv_weight)
-    pre += enc.conv_bias[:, None, None, None]
-    act = np.maximum(pre, 0.0)
-    pooled = act.mean(axis=(1, 2, 3))
-    projected = enc.proj_weight @ pooled + enc.proj_bias
-    norm = float(np.sqrt(np.sum(projected * projected)))
-    if norm > _NORM_EPS:
-        embedding = projected / norm
-    else:
-        embedding = np.zeros_like(projected)
+    cols = _im2col(video, enc.kernel, enc.stride)
+    w_mat = enc.conv_weight.reshape(enc.conv_weight.shape[0], -1)
+    pre = (cols @ w_mat.T).reshape(
+        video.shape[:1] + _feature_shape(video.shape, enc.kernel, enc.stride)
+        + w_mat.shape[:1]
+    )
+    del cols  # transient: encode_backward rebuilds it from the cached clips
+    pre += enc.conv_bias
+    act = np.maximum(pre, 0.0).reshape(video.shape[0], -1, w_mat.shape[0])
+    pooled = act.sum(axis=1) / act.shape[1]
+    projected = pooled @ enc.proj_weight.T + enc.proj_bias
+    norm = np.sqrt(np.sum(projected * projected, axis=1))
+    live = (norm > _NORM_EPS)[:, None]
+    embedding = np.where(live, projected / np.where(live, norm[:, None], 1.0), 0.0)
     cache = EncodeCache(video=video, conv_pre=pre, pooled=pooled,
                         projected=projected, norm=norm)
     return embedding, cache
 
 
 def encode_backward(
-    grad_embedding: np.ndarray, cache: EncodeCache, enc: ToyEncoder
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradients of :func:`encode` w.r.t. encoder weights and the input clip.
+    grad_embedding: np.ndarray,
+    cache: EncodeCache,
+    enc: ToyEncoder,
+    input_grad: bool = True,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Gradients of :func:`encode` w.r.t. encoder weights and the input clips.
+
+    Parameters
+    ----------
+    grad_embedding : (R, embed_dim) ndarray
+    input_grad : bool
+        When False the clip gradient is not computed and None is returned
+        in its place, for callers that would discard it.
 
     Returns
     -------
     (grads, grad_video)
-        ``grads`` holds ``conv_w``, ``conv_b``, ``proj_w``, ``proj_b``;
-        ``grad_video`` matches the input clip's shape.
+        ``grads`` holds ``conv_w``, ``conv_b``, ``proj_w``, ``proj_b``,
+        summed over the rows; ``grad_video`` matches the input clips' shape.
     """
     g_emb = np.asarray(grad_embedding, dtype=np.float64)
-    if cache.norm > _NORM_EPS:
-        unit = cache.projected / cache.norm
-        g_proj = (g_emb - unit * np.dot(unit, g_emb)) / cache.norm
-    else:
-        g_proj = np.zeros_like(g_emb)
-    g_proj_w = np.outer(g_proj, cache.pooled)
-    g_proj_b = g_proj
-    g_pooled = enc.proj_weight.T @ g_proj
-    cells = int(np.prod(cache.conv_pre.shape[1:]))
-    g_act = np.broadcast_to(
-        (g_pooled / cells)[:, None, None, None], cache.conv_pre.shape
-    )
-    g_pre = np.where(cache.conv_pre > 0.0, g_act, 0.0)
-    windows = _conv_windows(cache.video, enc.kernel, enc.stride)
-    g_conv_w = np.einsum("cthwijk,othw->ocijk", windows, g_pre)
-    g_conv_b = g_pre.sum(axis=(1, 2, 3))
+    if g_emb.shape != cache.projected.shape:
+        raise DimensionError(
+            f"grad_embedding shape {g_emb.shape} does not match "
+            f"{cache.projected.shape}"
+        )
+    live = cache.norm > _NORM_EPS
+    safe = np.where(live, cache.norm, 1.0)[:, None]
+    unit = cache.projected / safe
+    radial = np.sum(unit * g_emb, axis=1, keepdims=True)
+    g_proj = np.where(live[:, None], (g_emb - unit * radial) / safe, 0.0)
+    g_pooled = g_proj @ enc.proj_weight
+    n_rows, n_t, n_h, n_w, out_ch = cache.conv_pre.shape
+    pre = cache.conv_pre.reshape(n_rows, -1, out_ch)
+    g_pre = np.where(pre > 0.0, (g_pooled / pre.shape[1])[:, None, :], 0.0)
+    g_pre = g_pre.reshape(-1, out_ch)
 
-    grad_video = np.zeros_like(cache.video)
     k, s = enc.kernel, enc.stride
-    n_t, n_h, n_w = cache.conv_pre.shape[1:]
+    cols = _im2col(cache.video, k, s)
+    grads = {
+        "conv_w": (g_pre.T @ cols).reshape(enc.conv_weight.shape),
+        "conv_b": g_pre.sum(axis=0),
+        "proj_w": g_proj.T @ cache.pooled,
+        "proj_b": g_proj.sum(axis=0),
+    }
+    del cols
+    if not input_grad:
+        return grads, None
+
+    n_ch = cache.video.shape[1]
+    g_cols = g_pre @ enc.conv_weight.reshape(out_ch, -1)
+    # (R, t, h, w, C, i, j, l) -> (i, j, l, R, C, t, h, w): one strided add
+    # per kernel tap.
+    g_cols = g_cols.reshape(n_rows, n_t, n_h, n_w, n_ch, k, k, k)
+    g_cols = g_cols.transpose(5, 6, 7, 0, 4, 1, 2, 3)
+    grad_video = np.zeros_like(cache.video)
     for i in range(k):
         for j in range(k):
             for l in range(k):
-                contrib = np.einsum(
-                    "othw,oc->cthw", g_pre, enc.conv_weight[:, :, i, j, l]
-                )
                 grad_video[
+                    :,
                     :,
                     i : i + s * (n_t - 1) + 1 : s,
                     j : j + s * (n_h - 1) + 1 : s,
                     l : l + s * (n_w - 1) + 1 : s,
-                ] += contrib
-    grads = {
-        "conv_w": g_conv_w,
-        "conv_b": g_conv_b,
-        "proj_w": g_proj_w,
-        "proj_b": g_proj_b,
-    }
+                ] += g_cols[i, j, l]
     return grads, grad_video

@@ -36,6 +36,7 @@ from .affine import (
     transform_grid_backward,
 )
 from .contrastive import (
+    EncodeCache,
     LossConfig,
     ToyEncoder,
     encode,
@@ -44,7 +45,7 @@ from .contrastive import (
     nt_xent_backward,
 )
 from .paramgen import CropperState, mlp_backward, mlp_forward, reverse_gradient
-from .sampler import sample, sample_backward
+from .sampler import resample, sample, sample_backward
 from .simulator import make_synthetic_batch
 
 DEFAULT_STEP = 1e-6
@@ -111,18 +112,18 @@ def _grid_safe_mask(grid: np.ndarray, dims: tuple[int, int, int], margin: float)
 def check_sampler_grid(seed_seq: np.random.SeedSequence, h: float) -> float:
     """Resampler output w.r.t. grid coordinates."""
     rng = np.random.default_rng(seed_seq)
-    video = rng.normal(size=(2, 5, 6, 7))
-    grid = rng.uniform(-1.05, 1.05, size=(3, 4, 5, 3))
-    weight = rng.normal(size=(2, 3, 4, 5))
-    analytic = sample_backward(weight, video, grid)
+    video = rng.normal(size=(1, 2, 5, 6, 7))
+    grid = rng.uniform(-1.05, 1.05, size=(1, 1, 3, 4, 5, 3))
+    weight = rng.normal(size=(1, 2, 3, 4, 5))
+    analytic = sample_backward(weight, sample(video, grid)[1]).reshape(grid.shape)
 
     def objective(g):
-        return float(np.sum(weight * sample(video, g)))
+        return float(np.sum(weight * resample(video, g)))
 
     numeric = central_difference(objective, grid, h)
     # Comparisons are only fair where no perturbation can cross a cell edge
     # or the clamp threshold.
-    safe = _grid_safe_mask(grid, video.shape[1:], margin=1e-4)
+    safe = _grid_safe_mask(grid[0], video.shape[2:], margin=1e-4)[None]
     return max_relative_error(analytic[safe], numeric[safe])
 
 
@@ -167,11 +168,11 @@ def check_grid_transform(seed_seq: np.random.SeedSequence, h: float) -> float:
 
         return AffineParams(*[float(x) for x in vec])
 
-    analytic = transform_grid_backward(weight, grid, to_params(params_vec))
+    analytic = transform_grid_backward(weight[None], grid, [to_params(params_vec)])
 
     def objective(vec):
         matrix = build_affine_matrix(to_params(vec))
-        return float(np.sum(weight * transform_grid(grid, matrix)))
+        return float(np.sum(weight * transform_grid(grid, matrix[None])))
 
     numeric = central_difference(objective, params_vec, h)
     return max_relative_error(analytic, numeric)
@@ -198,9 +199,9 @@ def _encoder_instance(seed_seq: np.random.SeedSequence):
         enc = ToyEncoder.initialise(
             rng, in_channels=2, conv_channels=3, embed_dim=5
         )
-        video = rng.normal(size=(2, 4, 6, 5))
+        video = rng.normal(size=(1, 2, 4, 6, 5))
         _, cache = encode(video, enc)
-        if np.min(np.abs(cache.conv_pre)) > 3e-5 and cache.norm > 1e-3:
+        if np.min(np.abs(cache.conv_pre)) > 3e-5 and np.min(cache.norm) > 1e-3:
             return enc, video, rng
     raise RuntimeError("could not build a kink-free encoder instance")
 
@@ -208,7 +209,7 @@ def _encoder_instance(seed_seq: np.random.SeedSequence):
 def check_encoder(seed_seq: np.random.SeedSequence, h: float) -> float:
     """Encoder embedding w.r.t. all weights and the input clip."""
     enc, video, rng = _encoder_instance(seed_seq)
-    weight = rng.normal(size=enc.embed_dim)
+    weight = rng.normal(size=(1, enc.embed_dim))
     _, cache = encode(video, enc)
     grads, grad_video = encode_backward(weight, cache, enc)
 
@@ -222,14 +223,14 @@ def check_encoder(seed_seq: np.random.SeedSequence, h: float) -> float:
     for key, attr in field_map.items():
         def objective(w, attr=attr):
             emb, _ = encode(video, replace(enc, **{attr: w}))
-            return float(np.dot(weight, emb))
+            return float(np.sum(weight * emb))
 
         numeric = central_difference(objective, getattr(enc, attr), h)
         worst = max(worst, max_relative_error(grads[key], numeric))
 
     def input_objective(x):
         emb, _ = encode(x, enc)
-        return float(np.dot(weight, emb))
+        return float(np.sum(weight * emb))
 
     numeric = central_difference(input_objective, video, h)
     return max(worst, max_relative_error(grad_video, numeric))
@@ -277,7 +278,7 @@ def check_generator_mlp(seed_seq: np.random.SeedSequence, h: float) -> float:
 class ChainInstance:
     """A frozen tiny adversarial problem for end-to-end gradient checks."""
 
-    videos: list[np.ndarray]
+    videos: np.ndarray  # (num_samples, C, T, H, W)
     encoder: ToyEncoder
     croppers: tuple[CropperState, CropperState]
     noises: np.ndarray  # (num_samples, 2, noise_dim)
@@ -285,28 +286,46 @@ class ChainInstance:
     loss_cfg: LossConfig
 
 
-def _chain_forward(inst: ChainInstance, croppers=None):
-    """Forward pass returning loss plus everything backward needs."""
+@dataclass
+class ChainForward:
+    """Everything the backward of one chain forward pass needs.
+
+    ``rows`` holds, per crop in row order ``2k + branch``, the generator
+    output, its detach mask, the MLP cache, the mapped parameters and the
+    branch.
+    """
+
+    rows: list[dict]
+    grids: np.ndarray  # (2 * num_samples, T', H', W', 3)
+    jacobian: np.ndarray | None
+    enc_cache: EncodeCache
+
+
+def _chain_forward(inst: ChainInstance, croppers=None, backward: bool = False):
+    """Forward pass returning loss plus what a backward needs.
+
+    The sampler jacobian is computed only with *backward*; the numerical
+    side of the checks never runs a backward.
+    """
     croppers = croppers or inst.croppers
-    num = len(inst.videos)
+    num = inst.videos.shape[0]
     rows = []
-    embeddings = np.empty((2 * num, inst.encoder.embed_dim))
     for k in range(num):
         for branch in (0, 1):
             state = croppers[branch]
             unit, mlp_cache = mlp_forward(inst.noises[k, branch], state)
             unit, mask = apply_early_stop(unit, 0.0)  # full gradient flow
-            params = clamp_params(unit, state.bounds)
-            grid = transform_grid(inst.crop_grid, build_affine_matrix(params))
-            crop = sample(inst.videos[k], grid)
-            emb, enc_cache = encode(crop, inst.encoder)
-            embeddings[2 * k + branch] = emb
             rows.append(
-                dict(unit=unit, mask=mask, mlp_cache=mlp_cache, params=params,
-                     grid=grid, enc_cache=enc_cache, branch=branch, video_idx=k)
+                dict(unit=unit, mask=mask, mlp_cache=mlp_cache, branch=branch,
+                     params=clamp_params(unit, state.bounds))
             )
+    matrices = np.stack([build_affine_matrix(row["params"]) for row in rows])
+    grids = transform_grid(inst.crop_grid, matrices)
+    views = (inst.videos, grids.reshape((num, 2) + grids.shape[1:]))
+    crops, jacobian = sample(*views) if backward else (resample(*views), None)
+    embeddings, enc_cache = encode(crops, inst.encoder)
     loss = nt_xent(embeddings, inst.loss_cfg)
-    return loss, embeddings, rows
+    return loss, embeddings, ChainForward(rows, grids, jacobian, enc_cache)
 
 
 def chain_loss(inst: ChainInstance, croppers=None) -> float:
@@ -321,25 +340,21 @@ def chain_cropper_grads(
     With ``reverse=True`` the gradient is sign-flipped at the generator
     output exactly as the adversarial training step does.
     """
-    loss, embeddings, rows = _chain_forward(inst)
+    loss, embeddings, fwd = _chain_forward(inst, backward=True)
     grad_rows = nt_xent_backward(embeddings, inst.loss_cfg)
+    _, grad_crops = encode_backward(grad_rows, fwd.enc_cache, inst.encoder)
+    grad_coords = sample_backward(grad_crops, fwd.jacobian)
+    grad_params = transform_grid_backward(
+        grad_coords, inst.crop_grid, [row["params"] for row in fwd.rows]
+    )
     acc = [
         (np.zeros_like(inst.croppers[b].w1), np.zeros_like(inst.croppers[b].w2))
         for b in range(2)
     ]
-    for i, row in enumerate(rows):
+    for i, row in enumerate(fwd.rows):
         state = inst.croppers[row["branch"]]
-        _, grad_crop = encode_backward(
-            grad_rows[i], row["enc_cache"], inst.encoder
-        )
-        grad_coords = sample_backward(
-            grad_crop, inst.videos[row["video_idx"]], row["grid"]
-        )
-        grad_params = transform_grid_backward(
-            grad_coords, inst.crop_grid, row["params"]
-        )
         grad_unit = clamp_params_backward(
-            grad_params, row["unit"], state.bounds, row["mask"]
+            grad_params[i], row["unit"], state.bounds, row["mask"]
         )
         if reverse:
             grad_unit = reverse_gradient(grad_unit)
@@ -398,19 +413,13 @@ def _chain_is_well_conditioned(inst: ChainInstance) -> bool:
 
 
 def _chain_is_smooth(inst: ChainInstance) -> bool:
-    _, _, rows = _chain_forward(inst)
-    for row in rows:
-        safe = _grid_safe_mask(
-            row["grid"], inst.videos[0].shape[1:], margin=1e-5
-        )
-        if not np.all(safe):
-            return False
-        if np.min(np.abs(row["mlp_cache"].hidden_pre)) <= 1e-5:
-            return False
-        cache = row["enc_cache"]
-        if np.min(np.abs(cache.conv_pre)) <= 1e-5 or cache.norm <= 1e-3:
-            return False
-    return True
+    _, _, fwd = _chain_forward(inst)
+    if not np.all(_grid_safe_mask(fwd.grids, inst.videos.shape[2:], margin=1e-5)):
+        return False
+    if any(np.min(np.abs(row["mlp_cache"].hidden_pre)) <= 1e-5 for row in fwd.rows):
+        return False
+    cache = fwd.enc_cache
+    return np.min(np.abs(cache.conv_pre)) > 1e-5 and np.min(cache.norm) > 1e-3
 
 
 def check_full_chain(seed_seq: np.random.SeedSequence, h: float) -> float:

@@ -10,6 +10,15 @@ Geometry metrics are exact interval arithmetic on axis-aligned crop cubes in
 the normalised [-1, 1]^3 clip volume.  They are computed from the mapped crop
 parameters before any resampling, so they carry no interpolation error.
 
+A training step is batch-first: the N clips of a step are one (N, C, T, H,
+W) array, and all 2N crops travel as one leading row axis, row ``2k +
+branch`` for view ``branch`` of clip ``k``, through the grid transform, the
+sampler, the encoder and the loss, and back.  Only the six crop parameters
+and the generator MLPs stay per row.  The sampler hands its coordinate
+jacobian to the backward, so the clips are released right after sampling;
+and when the detach band masks every parameter of a step, the crop gradient
+is not computed at all, since it would be zeroed.
+
 Determinism: a run is a pure function of its config.  All randomness flows
 from one seed through a fixed tree of spawned generators, and gradient
 accumulation order is fixed, so identical configs give bit-identical metrics.
@@ -52,7 +61,7 @@ from .paramgen import (
     sample_noise,
     update_weights,
 )
-from .sampler import sample, sample_backward
+from .sampler import resample, sample, sample_backward
 
 logger = logging.getLogger(__name__)
 
@@ -198,8 +207,8 @@ def baseline_params(
 
 def make_synthetic_batch(
     rng: np.random.Generator, count: int, shape: tuple[int, int, int, int]
-) -> list[np.ndarray]:
-    """Generate clips of a moving Gaussian blob over low-amplitude noise.
+) -> np.ndarray:
+    """Generate a (count, C, T, H, W) batch of moving Gaussian blobs over noise.
 
     Each clip gets a random start position, velocity, radius and per-channel
     colour, so position in space *and* time is informative — exactly what a
@@ -211,8 +220,8 @@ def make_synthetic_batch(
     channels, t_len, h_len, w_len = shape
     grid = generate_grid(t_len, h_len, w_len)
     x, y, t = grid[..., 0], grid[..., 1], grid[..., 2]
-    clips = []
-    for _ in range(count):
+    clips = np.empty((count,) + tuple(shape))
+    for clip in clips:
         start = rng.uniform(-0.5, 0.5, 2)
         velocity = rng.uniform(-0.5, 0.5, 2)
         radius = rng.uniform(0.2, 0.4)
@@ -221,7 +230,8 @@ def make_synthetic_batch(
         cx = start[0] + velocity[0] * t
         cy = start[1] + velocity[1] * t
         blob = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * radius**2))
-        clips.append(colour[:, None, None, None] * blob[None] + noise)
+        np.multiply(colour[:, None, None, None], blob, out=clip)
+        clip += noise
     return clips
 
 
@@ -291,6 +301,12 @@ class TrainConfig:
     pre_crop: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if self.batch_size < 1:
@@ -571,17 +587,28 @@ class _Trainer:
 
     # -- augmentation ------------------------------------------------------
 
-    def _augment(self, clip: np.ndarray) -> np.ndarray:
+    def _sources(
+        self, batch: np.ndarray, grids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Clips and grids for the sampler, crops in 2k + branch row order.
+
+        Without augmentation both views share their clip: (N, C, T, H, W)
+        clips with (N, 2, ..., 3) grids.  Flips and pre-crops are drawn per
+        row, so then every row gets its own clip and a single view.
+        """
         cfg = self.cfg
-        out = clip
-        if cfg.random_flip and self.flip_rng.random() < 0.5:
-            out = np.ascontiguousarray(out[..., ::-1])
-        if cfg.pre_crop:
-            unit = self.precrop_rng.random(6)
-            pre_params = clamp_params(unit, self.bounds)
-            grid = transform_grid(self.input_grid, build_affine_matrix(pre_params))
-            out = sample(out, grid)
-        return out
+        if not (cfg.random_flip or cfg.pre_crop):
+            return batch, grids.reshape((batch.shape[0], 2) + grids.shape[1:])
+        sources = np.repeat(batch, 2, axis=0)
+        for row, clip in enumerate(sources):
+            if cfg.random_flip and self.flip_rng.random() < 0.5:
+                clip[...] = clip[..., ::-1].copy()
+            if cfg.pre_crop:
+                pre_params = clamp_params(self.precrop_rng.random(6), self.bounds)
+                matrix = build_affine_matrix(pre_params)[None]
+                grid = transform_grid(self.input_grid, matrix)[None]
+                clip[...] = resample(clip[None], grid)[0]
+        return sources, grids[:, None]
 
     # -- one optimisation step --------------------------------------------
 
@@ -591,32 +618,28 @@ class _Trainer:
         n_rows = 2 * n_pairs
         batch = make_synthetic_batch(self.data_rng, n_pairs, cfg.input_shape)
 
-        units: list[np.ndarray] = [None] * n_rows
-        masks: list[np.ndarray | None] = [None] * n_rows
-        mlp_caches: list[MlpCache | None] = [None] * n_rows
-        params: list[AffineParams] = [None] * n_rows
-        sources: list[np.ndarray] = [None] * n_rows
-        grids: list[np.ndarray] = [None] * n_rows
-        enc_caches = [None] * n_rows
-        embeddings = np.empty((n_rows, cfg.embed_dim))
-
-        for k in range(n_pairs):
+        units: list[np.ndarray] = []
+        masks: list[np.ndarray] = []
+        mlp_caches: list[MlpCache] = []
+        for _ in range(n_pairs):
             pair_units, (pair_masks, pair_caches) = self._draw_pair(index)
-            for branch in (0, 1):
-                row = 2 * k + branch
-                units[row] = pair_units[branch]
-                if pair_masks is not None:
-                    masks[row] = pair_masks[branch]
-                    mlp_caches[row] = pair_caches[branch]
-                params[row] = clamp_params(pair_units[branch], self.bounds)
-                source = self._augment(batch[k])
-                grid = transform_grid(
-                    self.crop_grid, build_affine_matrix(params[row])
-                )
-                crop = sample(source, grid)
-                embeddings[row], enc_caches[row] = encode(crop, self.encoder)
-                sources[row] = source
-                grids[row] = grid
+            units.extend(pair_units)
+            if pair_masks is not None:
+                masks.extend(pair_masks)
+                mlp_caches.extend(pair_caches)
+        params = [clamp_params(unit, self.bounds) for unit in units]
+        grids = transform_grid(
+            self.crop_grid, np.stack([build_affine_matrix(p) for p in params])
+        )
+        # A detach band that masks every entry zeroes the whole cropper
+        # gradient, so then no crop gradient is computed at all.
+        cropper_live = self.adversarial and any(m.any() for m in masks)
+        if cropper_live:
+            crops, jacobian = sample(*self._sources(batch, grids))
+        else:
+            crops = resample(*self._sources(batch, grids))
+        del batch, grids  # the backward needs the jacobian, not the clips
+        embeddings, enc_cache = encode(crops, self.encoder)
 
         iou_mean, raw_mean, norm_mean = np.nan, np.nan, np.nan
         if self.metrics_enabled:
@@ -644,39 +667,29 @@ class _Trainer:
             )
 
         grad_rows = nt_xent_backward(embeddings, self.loss_cfg)
-        enc_acc = {
-            "conv_w": np.zeros_like(self.encoder.conv_weight),
-            "conv_b": np.zeros_like(self.encoder.conv_bias),
-            "proj_w": np.zeros_like(self.encoder.proj_weight),
-            "proj_b": np.zeros_like(self.encoder.proj_bias),
-        }
+        enc_grads, grad_crops = encode_backward(
+            grad_rows, enc_cache, self.encoder, input_grad=cropper_live
+        )
         crop_acc = [
             [np.zeros_like(self.croppers[b].w1), np.zeros_like(self.croppers[b].w2)]
             for b in range(2)
         ] if self.adversarial else None
-
-        for row in range(n_rows):
-            enc_grads, grad_crop = encode_backward(
-                grad_rows[row], enc_caches[row], self.encoder
-            )
-            for key in enc_acc:
-                enc_acc[key] += enc_grads[key]
-            if not self.adversarial:
-                continue
-            branch = row % 2
-            grad_coords = sample_backward(grad_crop, sources[row], grids[row])
+        if cropper_live:
+            grad_coords = sample_backward(grad_crops, jacobian)
             grad_params = transform_grid_backward(
-                grad_coords, self.crop_grid, params[row]
+                grad_coords, self.crop_grid, params
             )
-            grad_unit = clamp_params_backward(
-                grad_params, units[row], self.bounds, masks[row]
-            )
-            grad_unit = reverse_gradient(grad_unit)
-            gw1, gw2 = mlp_backward(
-                grad_unit, mlp_caches[row], self.croppers[branch]
-            )
-            crop_acc[branch][0] += gw1
-            crop_acc[branch][1] += gw2
+            for row in range(n_rows):
+                branch = row % 2
+                grad_unit = clamp_params_backward(
+                    grad_params[row], units[row], self.bounds, masks[row]
+                )
+                grad_unit = reverse_gradient(grad_unit)
+                gw1, gw2 = mlp_backward(
+                    grad_unit, mlp_caches[row], self.croppers[branch]
+                )
+                crop_acc[branch][0] += gw1
+                crop_acc[branch][1] += gw2
 
         updated = self.enc_opt.step(
             {
@@ -685,7 +698,7 @@ class _Trainer:
                 "proj_w": self.encoder.proj_weight,
                 "proj_b": self.encoder.proj_bias,
             },
-            enc_acc,
+            enc_grads,
             step_index=index,
         )
         self.encoder = replace(

@@ -18,7 +18,7 @@ from paramcrop.affine import clamp_params, generate_grid, transform_grid, \
 from paramcrop.contrastive import LossConfig, nt_xent
 from paramcrop.gradcheck import build_chain_instance, chain_cropper_grads, \
     run_all, render_report
-from paramcrop.sampler import sample
+from paramcrop.sampler import resample
 from paramcrop.simulator import CropCube, TrainConfig, crop_cube, \
     run_training, st_iou, render_csv
 from paramcrop.cli import main as cli_main
@@ -118,7 +118,7 @@ def test_03_identity_crop_reproduces_source():
     rng = np.random.default_rng(0)
     video = rng.uniform(0.0, 1.0, size=(3, 16, 32, 32))
     grid = generate_grid(16, 32, 32)
-    out = sample(video, grid)
+    out = resample(video[None], grid[None, None])[0]
     assert float(np.max(np.abs(out - video))) <= 1e-12
 
 
@@ -135,7 +135,7 @@ def test_04_containment_ten_thousand_draws():
     violations = 0
     for _ in range(10_000):
         params = clamp_params(rng.random(6), bounds)
-        coords = transform_grid(crop_grid, build_affine_matrix(params))
+        coords = transform_grid(crop_grid, build_affine_matrix(params)[None])
         if np.any(coords < -1.0) or np.any(coords > 1.0):
             violations += 1
     assert violations == 0

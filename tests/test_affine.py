@@ -245,13 +245,13 @@ class TestTransformGrid:
     def test_identity(self):
         g = generate_grid(3, 4, 5)
         p = AffineParams(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        np.testing.assert_allclose(transform_grid(g, build_affine_matrix(p)), g,
-                                   atol=1e-15)
+        np.testing.assert_allclose(transform_grid(g, build_affine_matrix(p)[None])[0],
+                                   g, atol=1e-15)
 
     def test_pure_translation(self):
         g = generate_grid(2, 2, 2)
         p = AffineParams(1.0, 1.0, 0.0, 0.25, -0.5, 0.125)
-        out = transform_grid(g, build_affine_matrix(p))
+        out = transform_grid(g, build_affine_matrix(p)[None])[0]
         np.testing.assert_allclose(out[..., 0], g[..., 0] + 0.25, atol=1e-15)
         np.testing.assert_allclose(out[..., 1], g[..., 1] - 0.5, atol=1e-15)
         np.testing.assert_allclose(out[..., 2], g[..., 2] + 0.125, atol=1e-15)
@@ -261,7 +261,7 @@ class TestTransformGrid:
         p = AffineParams(0.6, 0.8, 0.4, 0.1, -0.1, 0.05)
         m = build_affine_matrix(p)
         g = rng.uniform(-1.0, 1.0, size=(4, 3))
-        out = transform_grid(g, m)
+        out = transform_grid(g, m[None])[0]
         for i in range(4):
             x, y, t = g[i]
             assert out[i, 0] == pytest.approx(
@@ -279,10 +279,12 @@ class TestTransformGrid:
 
         def scalar(vec: np.ndarray) -> float:
             p = AffineParams(*vec)
-            return float(np.sum(upstream * transform_grid(g, build_affine_matrix(p))))
+            matrix = build_affine_matrix(p)[None]
+            return float(np.sum(upstream * transform_grid(g, matrix)[0]))
 
-        grad = transform_grid_backward(upstream, g, base)
-        assert grad.shape == (6,)
+        grad = transform_grid_backward(upstream[None], g, [base])
+        assert grad.shape == (1, 6)
+        grad = grad[0]
         vec0 = base.as_vector()
         for i in range(6):
             e = np.zeros(6)

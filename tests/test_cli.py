@@ -12,7 +12,11 @@ import pytest
 from paramcrop.cli import main, render_svg
 from paramcrop.errors import ConfigError
 from paramcrop.kv import format_kv, parse_kv
-from paramcrop.simulator import CSV_HEADER, MetricsRecord
+from paramcrop.simulator import CSV_HEADER, MetricsRecord, TrainConfig
+
+FLOAT_FIELDS = [
+    name for name, value in vars(TrainConfig()).items() if isinstance(value, float)
+]
 
 TINY_CONFIG = """\
 # desk-scale smoke configuration
@@ -154,6 +158,21 @@ class TestErrorPaths:
         code = main(["sweep-detach", "--config", str(config_path),
                      "--out", str(tmp_path / "s"), "--bounds", "0.9"])
         assert code == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, config_path):
+        code = main(["train", "--config", str(config_path), "--seed", "-1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_float_exits_2(self, tmp_path, config_path, field, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_path.read_text() + f"{field} = {value}\n")
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
 
     def test_bad_thread_env_exits_2(self, tmp_path, config_path, monkeypatch):
         monkeypatch.setenv("PARAMCROP_THREADS", "zero")

@@ -146,16 +146,17 @@ def encoder():
 
 @pytest.fixture
 def clip():
+    """One (C, T, H, W) clip with its leading batch axis of 1."""
     rng = np.random.default_rng(1)
-    return rng.uniform(0.0, 1.0, size=(2, 7, 8, 9))
+    return rng.uniform(0.0, 1.0, size=(1, 2, 7, 8, 9))
 
 
 class TestEncoder:
     def test_embedding_is_unit_norm(self, encoder, clip):
         emb, cache = encode(clip, encoder)
-        assert emb.shape == (6,)
+        assert emb.shape == (1, 6)
         assert np.linalg.norm(emb) == pytest.approx(1.0, abs=1e-12)
-        assert cache.norm > 0.0
+        assert cache.norm[0] > 0.0
 
     def test_deterministic(self, encoder, clip):
         a, _ = encode(clip, encoder)
@@ -166,15 +167,15 @@ class TestEncoder:
         _, cache = encode(clip, encoder)
         # (7, 8, 9) with kernel 3 gives (5, 6, 7) windows; stride 2 keeps
         # every other one starting at index 0.
-        assert cache.conv_pre.shape == (4, 3, 3, 4)
+        assert cache.conv_pre.shape == (1, 3, 3, 4, 4)
 
     def test_channel_mismatch(self, encoder):
         with pytest.raises(DimensionError):
-            encode(np.zeros((3, 7, 8, 9)), encoder)
+            encode(np.zeros((1, 3, 7, 8, 9)), encoder)
 
     def test_too_small_clip(self, encoder):
         with pytest.raises(DimensionError):
-            encode(np.zeros((2, 2, 8, 9)), encoder)
+            encode(np.zeros((1, 2, 2, 8, 9)), encoder)
 
     def test_zero_clip_gives_zero_embedding_when_unbiased(self, encoder):
         enc = ToyEncoder(
@@ -184,19 +185,19 @@ class TestEncoder:
             proj_bias=np.zeros_like(encoder.proj_bias),
             stride=encoder.stride,
         )
-        emb, cache = encode(np.zeros((2, 7, 8, 9)), enc)
+        emb, cache = encode(np.zeros((1, 2, 7, 8, 9)), enc)
         np.testing.assert_array_equal(emb, 0.0)
-        assert cache.norm == 0.0
+        assert cache.norm[0] == 0.0
 
 
 class TestEncoderBackward:
     def test_weight_gradients_match_finite_differences(self, encoder, clip):
         rng = np.random.default_rng(9)
-        upstream = rng.normal(size=encoder.embed_dim)
+        upstream = rng.normal(size=(1, encoder.embed_dim))
 
         def loss(enc: ToyEncoder) -> float:
             emb, _ = encode(clip, enc)
-            return float(np.dot(upstream, emb))
+            return float(np.sum(upstream * emb))
 
         _, cache = encode(clip, encoder)
         grads, _ = encode_backward(upstream, cache, encoder)
@@ -223,27 +224,27 @@ class TestEncoderBackward:
 
     def test_input_gradient_matches_finite_differences(self, encoder, clip):
         rng = np.random.default_rng(10)
-        upstream = rng.normal(size=encoder.embed_dim)
+        upstream = rng.normal(size=(1, encoder.embed_dim))
         _, cache = encode(clip, encoder)
         _, grad_video = encode_backward(upstream, cache, encoder)
         assert grad_video.shape == clip.shape
         h = 1e-6
-        for idx in [(0, 0, 0, 0), (1, 3, 4, 5), (0, 6, 7, 8), (1, 2, 0, 3)]:
+        for idx in [(0, 0, 0, 0, 0), (0, 1, 3, 4, 5), (0, 0, 6, 7, 8), (0, 1, 2, 0, 3)]:
             bumped = clip.copy()
             bumped[idx] += h
             up, _ = encode(bumped, encoder)
             bumped[idx] -= 2 * h
             down, _ = encode(bumped, encoder)
-            fd = float(np.dot(upstream, up - down)) / (2 * h)
+            fd = float(np.sum(upstream * (up - down))) / (2 * h)
             assert grad_video[idx] == pytest.approx(fd, abs=1e-7), idx
 
     def test_positions_outside_any_window_get_zero_gradient(self, encoder,
                                                             clip):
         """With stride 2 and kernel 3 on length 7/8/9 axes, the last row of
         the two longer axes is never covered by a kept window."""
-        upstream = np.ones(encoder.embed_dim)
+        upstream = np.ones((1, encoder.embed_dim))
         _, cache = encode(clip, encoder)
         _, grad_video = encode_backward(upstream, cache, encoder)
         # windows start at 0, 2, 4 (h) and 0, 2, 4, 6 (w); they cover
         # h-indices 0..6 of 8 and w-indices 0..8 of 9.
-        np.testing.assert_array_equal(grad_video[:, :, 7, :], 0.0)
+        np.testing.assert_array_equal(grad_video[:, :, :, 7, :], 0.0)

@@ -7,7 +7,18 @@ import pytest
 
 from paramcrop.affine import generate_grid
 from paramcrop.errors import DimensionError
-from paramcrop.sampler import sample, sample_backward
+from paramcrop.sampler import resample, sample, sample_backward
+
+
+def sample_one(video: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Crop of one (C, T, H, W) clip at one grid, via a leading axis of 1."""
+    return resample(video[None], grid[None, None])[0]
+
+
+def grad_one(upstream: np.ndarray, video: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Grid gradient of one clip's crop, via a leading axis of 1."""
+    _, jacobian = sample(video[None], grid[None, None])
+    return sample_backward(upstream[None], jacobian)[0]
 
 
 def naive_sample_point(video: np.ndarray, x: float, y: float, t: float) -> np.ndarray:
@@ -51,14 +62,14 @@ def video():
 class TestForward:
     def test_identity_grid_recovers_video(self, video):
         g = generate_grid(*video.shape[1:])
-        out = sample(video, g)
+        out = sample_one(video, g)
         assert out.shape == video.shape
         np.testing.assert_allclose(out, video, atol=1e-12)
 
     def test_matches_naive_oracle(self, video):
         rng = np.random.default_rng(7)
         grid = rng.uniform(-1.3, 1.3, size=(4, 3, 2, 3))
-        out = sample(video, grid)
+        out = sample_one(video, grid)
         for it in range(4):
             for ih in range(3):
                 for iw in range(2):
@@ -73,7 +84,7 @@ class TestForward:
         video[0, 0, 0] = [2.0, 6.0]
         # halfway along x, pinned to the first row/frame
         grid = np.array([[0.0, -1.0, -1.0]])
-        assert sample(video, grid)[0, 0] == pytest.approx(4.0)
+        assert sample_one(video, grid)[0, 0] == pytest.approx(4.0)
 
     def test_voxel_centers_exact(self, video):
         # Sampling exactly at the center of voxel (t=2, y=1, x=3).
@@ -83,21 +94,28 @@ class TestForward:
             2.0 * 1 / (nh - 1) - 1.0,
             2.0 * 2 / (nt - 1) - 1.0,
         ]])
-        np.testing.assert_allclose(sample(video, grid)[:, 0], video[:, 2, 1, 3],
+        np.testing.assert_allclose(sample_one(video, grid)[:, 0], video[:, 2, 1, 3],
                                    atol=1e-14)
 
     def test_border_clamp(self, video):
         far = np.array([[5.0, -7.0, 9.0]])
-        out = sample(video, far)[:, 0]
+        out = sample_one(video, far)[:, 0]
         np.testing.assert_allclose(out, video[:, -1, 0, -1], atol=1e-14)
 
     def test_grid_last_axis_checked(self, video):
         with pytest.raises(DimensionError):
-            sample(video, np.zeros((2, 2)))
+            resample(video[None], np.zeros((1, 1, 2, 2)))
 
     def test_video_rank_checked(self):
         with pytest.raises(DimensionError):
-            sample(np.zeros((2, 2, 2)), np.zeros((1, 3)))
+            resample(np.zeros((2, 2, 2, 2)), np.zeros((2, 1, 1, 3)))
+
+
+    def test_sample_and_resample_agree(self, video):
+        rng = np.random.default_rng(5)
+        grid = rng.uniform(-1.2, 1.2, size=(1, 2, 3, 4, 3))
+        crops, _ = sample(video[None], grid)
+        np.testing.assert_array_equal(crops, resample(video[None], grid))
 
 
 class TestBackward:
@@ -109,22 +127,22 @@ class TestBackward:
         upstream = rng.normal(size=(video.shape[0], 6))
         h = 1e-6
 
-        grad = sample_backward(upstream, video, grid)
+        grad = grad_one(upstream, video, grid)
         assert grad.shape == grid.shape
         for i in range(6):
             for axis in range(3):
                 shifted = grid.copy()
                 shifted[i, axis] += h
-                up = float(np.sum(upstream * sample(video, shifted)))
+                up = float(np.sum(upstream * sample_one(video, shifted)))
                 shifted[i, axis] -= 2 * h
-                down = float(np.sum(upstream * sample(video, shifted)))
+                down = float(np.sum(upstream * sample_one(video, shifted)))
                 fd = (up - down) / (2.0 * h)
                 assert grad[i, axis] == pytest.approx(fd, abs=5e-6), (i, axis)
 
     def test_clamped_coordinates_get_zero_gradient(self, video):
         grid = np.array([[3.0, 0.1, 0.1], [0.1, -2.0, 0.1], [0.1, 0.1, 4.0]])
         upstream = np.ones((video.shape[0], 3))
-        grad = sample_backward(upstream, video, grid)
+        grad = grad_one(upstream, video, grid)
         assert grad[0, 0] == 0.0
         assert grad[1, 1] == 0.0
         assert grad[2, 2] == 0.0
@@ -138,10 +156,12 @@ class TestBackward:
         video[0, 0, 0] = [1.0, 3.0]  # value rises by 2 along x at y=t=0
         grid = np.array([[-0.25, -1.0, -1.0]])
         upstream = np.ones((1, 1))
-        grad = sample_backward(upstream, video, grid)
+        grad = grad_one(upstream, video, grid)
         # d value / d x_norm = (3 - 1) * (W - 1) / 2 = 1.0
         assert grad[0, 0] == pytest.approx(1.0)
 
     def test_upstream_shape_checked(self, video):
+        _, jacobian = sample(video[None], np.zeros((1, 1, 5, 3)))
         with pytest.raises(DimensionError):
-            sample_backward(np.zeros((2, 5)), video, np.zeros((5, 3)))
+            sample_backward(np.zeros((1, 2, 5)), jacobian)
+

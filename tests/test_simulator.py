@@ -200,7 +200,7 @@ class TestSyntheticBatch:
     def test_shapes_and_values(self):
         rng = np.random.default_rng(42)
         clips = make_synthetic_batch(rng, 3, (2, 4, 6, 5))
-        assert len(clips) == 3
+        assert clips.shape == (3, 2, 4, 6, 5)
         for clip in clips:
             assert clip.shape == (2, 4, 6, 5)
             assert np.all(np.isfinite(clip))
