@@ -24,7 +24,6 @@ from .affine import (
 from .contrastive import (
     LossConfig,
     ToyEncoder,
-    cosine_matrix,
     encode,
     encode_backward,
     nt_xent,
@@ -32,11 +31,9 @@ from .contrastive import (
 )
 from .errors import (
     ConfigError,
-    ContractError,
     DimensionError,
     NumericsError,
     ParamCropError,
-    TensorFileError,
     TrainingError,
     UnsupportedMetricError,
 )
@@ -44,12 +41,10 @@ from .gradcheck import CheckResult, render_report, run_all
 from .paramgen import (
     CropperState,
     SgdMomentum,
-    load_checkpoint,
     mlp_backward,
     mlp_forward,
     reverse_gradient,
     sample_noise,
-    save_checkpoint,
     update_weights,
 )
 from .sampler import resample, sample, sample_backward
@@ -72,15 +67,13 @@ __all__ = [
     "AffineParams", "ParamBounds", "apply_early_stop", "build_affine_matrix",
     "clamp_params", "clamp_params_backward", "generate_grid",
     "transform_grid", "transform_grid_backward",
-    "LossConfig", "ToyEncoder", "cosine_matrix", "encode", "encode_backward",
-    "nt_xent", "nt_xent_backward",
-    "ParamCropError", "ConfigError", "ContractError", "DimensionError",
-    "NumericsError", "TensorFileError", "TrainingError",
-    "UnsupportedMetricError",
+    "LossConfig", "ToyEncoder", "encode", "encode_backward", "nt_xent",
+    "nt_xent_backward",
+    "ParamCropError", "ConfigError", "DimensionError", "NumericsError",
+    "TrainingError", "UnsupportedMetricError",
     "CheckResult", "render_report", "run_all",
-    "CropperState", "SgdMomentum", "load_checkpoint", "mlp_backward",
-    "mlp_forward", "reverse_gradient", "sample_noise", "save_checkpoint",
-    "update_weights",
+    "CropperState", "SgdMomentum", "mlp_backward", "mlp_forward",
+    "reverse_gradient", "sample_noise", "update_weights",
     "resample", "sample", "sample_backward",
     "CropCube", "MetricsRecord", "RunResult", "TrainConfig",
     "baseline_params", "center_manhattan", "crop_cube",

@@ -23,8 +23,6 @@ from .errors import ConfigError, DimensionError
 # Indices into a unit-parameter (or parameter-gradient) vector of length 6.
 SPATIAL_SCALE, TEMPORAL_SCALE, ANGLE, OFFSET_X, OFFSET_Y, OFFSET_T = range(6)
 
-PARAM_NAMES = ("sp", "st", "theta", "dx", "dy", "dt")
-
 
 @dataclass(frozen=True)
 class ParamBounds:
@@ -118,10 +116,9 @@ def apply_early_stop(
     -------
     (values, mask)
         ``values`` is the input unchanged; ``mask`` is a boolean (6,) array,
-        True where the gradient should still flow.
+        True where the gradient should still flow.  *detach_bound* is taken
+        as already validated (see :class:`ParamBounds`).
     """
-    if not 0.0 <= detach_bound <= 0.5:
-        raise ConfigError(f"detach_bound must lie in [0, 0.5], got {detach_bound}")
     v = _check_unit(unit_params)
     mask = np.abs(v - 0.5) <= 0.5 - detach_bound
     return v, mask

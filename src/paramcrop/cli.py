@@ -24,11 +24,9 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigError,
-    ContractError,
     DimensionError,
     NumericsError,
     ParamCropError,
-    TensorFileError,
     TrainingError,
     UnsupportedMetricError,
 )
@@ -352,11 +350,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2
-    except (TrainingError, NumericsError, DimensionError, ContractError,
+    except (TrainingError, NumericsError, DimensionError,
             UnsupportedMetricError) as exc:
         logger.error("numerical error: %s", exc)
         return 3
-    except (TensorFileError, OSError) as exc:
+    except OSError as exc:
         logger.error("I/O error: %s", exc)
         return 4
     except ParamCropError as exc:  # fallback for any future subclass

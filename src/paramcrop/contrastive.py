@@ -8,8 +8,7 @@ row (the anchor itself is excluded from the denominator).
 
 :func:`nt_xent` accepts arbitrary rows and L2-normalises internally (with a
 zero-vector guard), so :func:`nt_xent_backward` includes the normalisation
-Jacobian and finite differences on the raw rows agree with it.  The stricter
-:func:`cosine_matrix` contract — rows already unit-norm — is enforced there.
+Jacobian and finite differences on the raw rows agree with it.
 
 The encoder is toy by design: one valid-padded strided 3D convolution, ReLU,
 global average pooling, a linear projection, then L2 normalisation.  It is
@@ -27,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, DimensionError
 
 _NORM_EPS = 1e-12
-_UNIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,21 +64,6 @@ def _normalise_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unit = e / safe[:, None]
     unit[norms <= _NORM_EPS] = 0.0
     return unit, norms
-
-
-def cosine_matrix(embeddings: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities of rows that must already be unit-norm."""
-    e = np.asarray(embeddings, dtype=np.float64)
-    if e.ndim != 2:
-        raise DimensionError(f"embeddings must be 2-D, got shape {e.shape}")
-    norms = np.sqrt(np.sum(e * e, axis=1))
-    bad = np.abs(norms - 1.0) > _UNIT_TOL
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise ContractError(
-            f"row {idx} is not unit-norm (|row| = {norms[idx]:.12g})"
-        )
-    return e @ e.T
 
 
 def _pair_softmax(e: np.ndarray, cfg: LossConfig):

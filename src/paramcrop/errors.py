@@ -19,10 +19,6 @@ class ConfigError(ParamCropError):
     """Invalid or malformed configuration value."""
 
 
-class ContractError(ParamCropError):
-    """Caller violated a documented input contract (e.g. non-unit rows)."""
-
-
 class NumericsError(ParamCropError):
     """A numeric operation produced or received non-finite values."""
 
@@ -33,7 +29,3 @@ class TrainingError(ParamCropError):
 
 class UnsupportedMetricError(ParamCropError):
     """Requested metric is undefined for the given parameters."""
-
-
-class TensorFileError(ParamCropError):
-    """Malformed or truncated tensor/container file."""

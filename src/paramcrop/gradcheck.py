@@ -44,6 +44,7 @@ from .contrastive import (
     nt_xent,
     nt_xent_backward,
 )
+from .errors import ConfigError
 from .paramgen import CropperState, mlp_backward, mlp_forward, reverse_gradient
 from .sampler import resample, sample, sample_backward
 from .simulator import make_synthetic_batch
@@ -478,6 +479,12 @@ def run_all(
     h: float = DEFAULT_STEP,
 ) -> list[CheckResult]:
     """Run every family over *num_seeds* independent instances."""
+    if num_seeds < 1:
+        raise ConfigError(f"num_seeds: must be >= 1, got {num_seeds}")
+    if base_seed < 0:
+        raise ConfigError(f"base_seed: must be >= 0, got {base_seed}")
+    if not (np.isfinite(tolerance) and tolerance > 0.0):
+        raise ConfigError(f"tolerance: must be finite and > 0, got {tolerance}")
     results = []
     root = np.random.SeedSequence(base_seed)
     for name, fn in CHECK_FAMILIES.items():

@@ -15,14 +15,11 @@ ascent optimiser, callers negate the incoming gradient with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import tensor
 from .affine import ParamBounds
-from .errors import ConfigError, TensorFileError, TrainingError
-from .kv import format_kv, parse_kv
+from .errors import ConfigError, NumericsError, TrainingError
 
 DEFAULT_NOISE_DIM = 16
 DEFAULT_HIDDEN_DIM = 32
@@ -82,6 +79,16 @@ def sample_noise(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.random(dim)
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    # Split by sign so exp() never overflows.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, MlpCache]:
     """Map a noise vector to six unit-interval crop parameters."""
     noise = np.asarray(noise, dtype=np.float64)
@@ -91,8 +98,13 @@ def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, Mlp
             f"({state.noise_dim},)"
         )
     hidden_pre = state.w1 @ noise
-    hidden = tensor.elementwise("relu", hidden_pre)
-    unit = tensor.elementwise("sigmoid", state.w2 @ hidden)
+    hidden = np.maximum(hidden_pre, 0.0)
+    unit = _stable_sigmoid(state.w2 @ hidden)
+    # Non-finite crop parameters would otherwise reach the sampler's integer
+    # gather; the sigmoid maps an infinite hidden unit to a finite 0 or 1, so
+    # both layers are checked.
+    if not (np.all(np.isfinite(hidden)) and np.all(np.isfinite(unit))):
+        raise NumericsError("non-finite values in generator forward")
     return unit, MlpCache(noise=noise, hidden_pre=hidden_pre,
                           hidden=hidden, unit=unit)
 
@@ -169,62 +181,3 @@ def update_weights(
         step_index=step_index,
     )
     return CropperState(w1=updated["w1"], w2=updated["w2"], bounds=state.bounds)
-
-
-def save_checkpoint(
-    state: CropperState, directory: str | Path, seed: int | None = None
-) -> None:
-    """Persist generator weights plus a small text manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    tensor.save_tensor(directory / "w1.pct", state.w1)
-    tensor.save_tensor(directory / "w2.pct", state.w2)
-    b = state.bounds
-    manifest: dict[str, object] = {
-        "noise_dim": state.noise_dim,
-        "hidden_dim": state.hidden_dim,
-        "spatial_scale_min": b.spatial_scale_range[0],
-        "spatial_scale_max": b.spatial_scale_range[1],
-        "temporal_scale_min": b.temporal_scale_range[0],
-        "temporal_scale_max": b.temporal_scale_range[1],
-        "angle_min": b.angle_range[0],
-        "angle_max": b.angle_range[1],
-        "detach_bound": b.detach_bound,
-    }
-    if seed is not None:
-        manifest["seed"] = seed
-    (directory / "manifest.txt").write_text(format_kv(manifest))
-
-
-def load_checkpoint(directory: str | Path) -> tuple[CropperState, dict[str, str]]:
-    """Load a checkpoint written by :func:`save_checkpoint`.
-
-    Returns the reconstructed state and the raw manifest key/value pairs.
-    """
-    directory = Path(directory)
-    w1 = tensor.load_tensor(directory / "w1.pct")
-    w2 = tensor.load_tensor(directory / "w2.pct")
-    raw = parse_kv((directory / "manifest.txt").read_text())
-    try:
-        noise_dim = int(raw["noise_dim"])
-        hidden_dim = int(raw["hidden_dim"])
-        bounds = ParamBounds(
-            spatial_scale_range=(
-                float(raw["spatial_scale_min"]), float(raw["spatial_scale_max"])
-            ),
-            temporal_scale_range=(
-                float(raw["temporal_scale_min"]), float(raw["temporal_scale_max"])
-            ),
-            angle_range=(float(raw["angle_min"]), float(raw["angle_max"])),
-            detach_bound=float(raw["detach_bound"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint manifest missing key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"checkpoint manifest malformed: {exc}") from exc
-    if w1.shape != (hidden_dim, noise_dim) or w2.shape != (6, hidden_dim):
-        raise TensorFileError(
-            f"checkpoint weight shapes {w1.shape}/{w2.shape} disagree with "
-            f"manifest dims m={noise_dim}, d={hidden_dim}"
-        )
-    return CropperState(w1=w1, w2=w2, bounds=bounds), raw

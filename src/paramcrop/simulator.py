@@ -265,8 +265,10 @@ class TrainConfig:
     """Full description of one simulator run.  See field names for meaning.
 
     Shapes are (channels, frames, height, width) for the input clips and
-    (frames, height, width) for the crop; scale/angle bounds feed straight
-    into :class:`~paramcrop.affine.ParamBounds`.
+    (frames, height, width) for the crop.  Construction also builds
+    ``bounds`` (:class:`~paramcrop.affine.ParamBounds`) and ``loss_cfg``
+    (:class:`~paramcrop.contrastive.LossConfig`), which validate the scale,
+    angle, detach and temperature fields, so no other site re-checks them.
     """
 
     steps: int = 2000
@@ -332,32 +334,20 @@ class TrainConfig:
                 raise ConfigError(
                     f"crop_shape: axis {axis} ({crop_n}) exceeds input ({full_n})"
                 )
-        if not self.temperature > 0.0:
-            raise ConfigError(f"temperature: must be > 0, got {self.temperature}")
+        object.__setattr__(
+            self, "loss_cfg", LossConfig(self.temperature, self.batch_size)
+        )
         for name in ("encoder_lr", "cropper_lr"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum: must lie in [0, 1), got {self.momentum}")
-        for lo_name, hi_name in (
-            ("spatial_scale_min", "spatial_scale_max"),
-            ("temporal_scale_min", "temporal_scale_max"),
-        ):
-            lo, hi = getattr(self, lo_name), getattr(self, hi_name)
-            if not 0.0 < lo <= hi <= 1.0:
-                raise ConfigError(
-                    f"{lo_name}/{hi_name}: need 0 < min <= max <= 1, "
-                    f"got ({lo}, {hi})"
-                )
-        if self.angle_min > self.angle_max:
-            raise ConfigError(
-                f"angle_min/angle_max: need min <= max, "
-                f"got ({self.angle_min}, {self.angle_max})"
-            )
-        if not 0.0 <= self.detach_bound <= 0.5:
-            raise ConfigError(
-                f"detach_bound: must lie in [0, 0.5], got {self.detach_bound}"
-            )
+        object.__setattr__(self, "bounds", ParamBounds(
+            spatial_scale_range=(self.spatial_scale_min, self.spatial_scale_max),
+            temporal_scale_range=(self.temporal_scale_min, self.temporal_scale_max),
+            angle_range=(self.angle_min, self.angle_max),
+            detach_bound=self.detach_bound,
+        ))
         for name in ("noise_dim", "hidden_dim", "embed_dim", "conv_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
@@ -373,15 +363,6 @@ class TrainConfig:
             raise ConfigError(
                 f"manual_breakpoint: must lie in [0, 1), got {self.manual_breakpoint}"
             )
-
-    @property
-    def bounds(self) -> ParamBounds:
-        return ParamBounds(
-            spatial_scale_range=(self.spatial_scale_min, self.spatial_scale_max),
-            temporal_scale_range=(self.temporal_scale_min, self.temporal_scale_max),
-            angle_range=(self.angle_min, self.angle_max),
-            detach_bound=self.detach_bound,
-        )
 
 
 _SHAPE_FIELDS = {"input_shape": 4, "crop_shape": 3}
@@ -539,7 +520,7 @@ class _Trainer:
             self.crop_opts = None
         self.crop_grid = generate_grid(*cfg.crop_shape)
         self.input_grid = generate_grid(*cfg.input_shape[1:])
-        self.loss_cfg = LossConfig(cfg.temperature, cfg.batch_size)
+        self.loss_cfg = cfg.loss_cfg
         # Interval metrics assume axis-aligned cubes; a non-zero angle range
         # makes them undefined, so those columns become NaN.
         self.metrics_enabled = cfg.angle_min == 0.0 and cfg.angle_max == 0.0

@@ -1,28 +1,14 @@
-"""Dense float64 tensor helpers: validated ops, deterministic reductions, file I/O.
+"""Validated dense float64 helpers: :func:`as_dense` and :func:`matmul`.
 
-Every array that crosses a module boundary in this package is a C-contiguous
-float64 ndarray.  The operations here reject shape mismatches loudly and refuse
-to propagate NaN/Inf silently, so downstream modules can assume clean inputs.
-
-Reductions accumulate strictly left-to-right along the reduced axis (realised
-via a cumulative sum, which is sequential by definition), so repeated calls on
-identical inputs are bit-identical.
+Nothing in the package calls these; they and their tests are the last of the
+old tensor core and go with the next deletion (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-
 import numpy as np
 
-from .errors import DimensionError, NumericsError, TensorFileError
-
-_MAGIC = b"PCT1"
-
-_ELEMENTWISE_BINARY = ("add", "sub", "mul")
-_ELEMENTWISE_UNARY = ("sigmoid", "relu")
-_REDUCE_OPS = ("sum", "mean", "max")
+from .errors import DimensionError, NumericsError
 
 
 def as_dense(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -64,124 +50,3 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a @ b
     _require_finite(out, "matmul result")
     return out
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp() never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def elementwise(op: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Apply a named elementwise op.
-
-    Binary ops (``add``/``sub``/``mul``) require identical shapes; unary ops
-    (``sigmoid``/``relu``) must be called without *b*.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if op in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise DimensionError(f"elementwise '{op}' needs two operands")
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape != b.shape:
-            raise DimensionError(
-                f"elementwise '{op}' shape mismatch: {a.shape} vs {b.shape}"
-            )
-        # overflow surfaces as NumericsError below, not as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            if op == "add":
-                out = a + b
-            elif op == "sub":
-                out = a - b
-            else:
-                out = a * b
-    elif op in _ELEMENTWISE_UNARY:
-        if b is not None:
-            raise DimensionError(f"elementwise '{op}' is unary")
-        out = _stable_sigmoid(a) if op == "sigmoid" else np.maximum(a, 0.0)
-    else:
-        raise DimensionError(f"unknown elementwise op '{op}'")
-    _require_finite(out, f"elementwise '{op}' result")
-    return out
-
-
-def reduce(op: str, a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Reduce with a fixed left-to-right accumulation order.
-
-    ``axis=None`` reduces over all elements in row-major order and returns a
-    Python float.  Empty reductions are rejected rather than defaulted.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if op not in _REDUCE_OPS:
-        raise DimensionError(f"unknown reduce op '{op}'")
-    if axis is None:
-        flat = a.ravel(order="C")
-        if flat.size == 0:
-            raise DimensionError(f"reduce '{op}' over empty array")
-        out = float(_reduce_1d(op, flat))
-    else:
-        if not -a.ndim <= axis < a.ndim:
-            raise DimensionError(f"axis {axis} out of range for {a.ndim}-D array")
-        if a.shape[axis] == 0:
-            raise DimensionError(f"reduce '{op}' over empty axis {axis}")
-        if op == "max":
-            out = np.max(a, axis=axis)
-        else:
-            # Last cumulative slice along the axis == strict sequential sum.
-            csum = np.cumsum(a, axis=axis)
-            out = np.take(csum, -1, axis=axis)
-            if op == "mean":
-                out = out / a.shape[axis]
-    _require_finite(np.asarray(out), f"reduce '{op}' result")
-    return out
-
-
-def _reduce_1d(op: str, flat: np.ndarray) -> float:
-    if op == "max":
-        return float(np.max(flat))
-    total = float(np.cumsum(flat)[-1])
-    if op == "mean":
-        total /= flat.size
-    return total
-
-
-def save_tensor(path: str | Path, arr: np.ndarray) -> None:
-    """Write *arr* in the package container format.
-
-    Layout: magic ``PCT1``, uint32-LE rank, ``rank`` uint32-LE dims, then the
-    payload as row-major float64-LE.
-    """
-    arr = as_dense(arr)
-    header = _MAGIC + struct.pack("<I", arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype("<f8", copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + payload)
-
-
-def load_tensor(path: str | Path) -> np.ndarray:
-    """Read a tensor written by :func:`save_tensor`, validating the layout."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != _MAGIC:
-        raise TensorFileError(f"{path}: missing PCT1 magic")
-    (rank,) = struct.unpack_from("<I", raw, 4)
-    if len(raw) < 8 + 4 * rank:
-        raise TensorFileError(f"{path}: truncated dimension list")
-    dims = struct.unpack_from(f"<{rank}I", raw, 8)
-    offset = 8 + 4 * rank
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-    expected = offset + 8 * count
-    if len(raw) != expected:
-        raise TensorFileError(
-            f"{path}: payload size mismatch (expected {expected} bytes, "
-            f"got {len(raw)})"
-        )
-    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    # .copy() detaches from the read-only buffer; reshape after the copy so
-    # rank-0 tensors keep their shape (ascontiguousarray would promote them).
-    arr = flat.astype(np.float64).copy().reshape(dims)
-    _require_finite(arr, f"tensor file {path}")
-    return arr

@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramcrop.cli import main, render_svg
 from paramcrop.errors import ConfigError
@@ -234,6 +237,40 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--seeds", "1", "--tolerance", "1e-18"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--seeds", "0"],
+        ["--seeds", "-1"],
+        ["--seed", "-1"],
+        ["--tolerance", "nan"],
+        ["--tolerance", "inf"],
+        ["--tolerance", "-1"],
+        ["--tolerance", "0"],
+    ])
+    def test_bad_arguments_exit_2(self, flags, capsys):
+        assert main(["gradcheck", "--seeds", "1", *flags]) == 2
+        assert capsys.readouterr().out == ""
+
+
+_CONFIG_KEYS = [f.name for f in fields(TrainConfig)]
+_config_values = st.one_of(
+    st.text(),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "no", "random", "2x8x10x10", "4x5x5", "0.5"]),
+)
+
+
+class TestConfigProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.dictionaries(
+        st.one_of(st.sampled_from(_CONFIG_KEYS), st.text(min_size=1)),
+        _config_values, max_size=8,
+    ))
+    def test_any_text_config_exits_0_or_2(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_text(format_kv(pairs), encoding="utf-8")
+        assert main(["train", "--config", str(path), "--print-config"]) in (0, 2)
 
 
 class TestSvg:

@@ -10,13 +10,12 @@ import pytest
 from paramcrop.contrastive import (
     LossConfig,
     ToyEncoder,
-    cosine_matrix,
     encode,
     encode_backward,
     nt_xent,
     nt_xent_backward,
 )
-from paramcrop.errors import ConfigError, ContractError, DimensionError
+from paramcrop.errors import ConfigError, DimensionError
 
 
 def brute_force_loss(embeddings: np.ndarray, temperature: float) -> float:
@@ -120,21 +119,6 @@ class TestLossBackward:
         grad = nt_xent_backward(e, LossConfig(temperature=0.1, num_samples=4))
         dots = np.sum(grad * e, axis=1)
         np.testing.assert_allclose(dots, 0.0, atol=1e-14)
-
-
-class TestCosineMatrix:
-    def test_values(self):
-        e = np.array([[1.0, 0.0], [0.0, 1.0],
-                      [np.sqrt(0.5), np.sqrt(0.5)]])
-        m = cosine_matrix(e)
-        assert m[0, 1] == pytest.approx(0.0)
-        assert m[0, 2] == pytest.approx(np.sqrt(0.5))
-        np.testing.assert_allclose(np.diag(m), 1.0, atol=1e-12)
-        np.testing.assert_allclose(m, m.T, atol=0.0)
-
-    def test_rejects_non_unit_rows(self):
-        with pytest.raises(ContractError, match="row 1"):
-            cosine_matrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Tests for the crop-parameter generator, its optimiser, and checkpoints."""
+"""Tests for the crop-parameter generator and its optimiser."""
 
 from __future__ import annotations
 
@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from paramcrop.affine import ParamBounds
-from paramcrop.errors import ConfigError, TensorFileError, TrainingError
+from paramcrop.errors import ConfigError, NumericsError, TrainingError
 from paramcrop.paramgen import (
     CropperState,
     SgdMomentum,
-    load_checkpoint,
     mlp_backward,
     mlp_forward,
     reverse_gradient,
     sample_noise,
-    save_checkpoint,
     update_weights,
 )
 
@@ -71,6 +69,16 @@ class TestForward:
         s = CropperState.initialise(rng, init_scale=0.01)
         unit, _ = mlp_forward(sample_noise(rng, s.noise_dim), s)
         np.testing.assert_allclose(unit, np.full(6, 0.5), atol=0.01)
+
+    def test_non_finite_output_raises(self):
+        # The hidden layer stays finite (1e200 each), but every mixed-sign
+        # w2 row sums inf - inf = NaN.
+        w1 = np.full((4, 3), 1e200)
+        w2 = np.tile(np.array([1.0, -1.0, 1.0, -1.0]) * 1e200, (6, 1))
+        s = CropperState(w1=w1, w2=w2, bounds=ParamBounds())
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericsError):
+            mlp_forward(np.ones(3), s)
 
 
 class TestBackward:
@@ -163,41 +171,3 @@ class TestOptimiser:
         np.testing.assert_allclose(new.w1, state.w1 - 0.5, atol=1e-15)
         np.testing.assert_allclose(new.w2, state.w2 - 0.5, atol=1e-15)
         assert new.bounds is state.bounds
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path, state):
-        save_checkpoint(state, tmp_path, seed=123)
-        loaded, manifest = load_checkpoint(tmp_path)
-        np.testing.assert_array_equal(loaded.w1, state.w1)
-        np.testing.assert_array_equal(loaded.w2, state.w2)
-        assert loaded.bounds == state.bounds
-        assert manifest["seed"] == "123"
-
-    def test_round_trip_custom_bounds(self, tmp_path):
-        bounds = ParamBounds(spatial_scale_range=(0.25, 0.75),
-                             temporal_scale_range=(0.4, 0.9),
-                             angle_range=(-0.1, 0.2),
-                             detach_bound=0.35)
-        rng = np.random.default_rng(9)
-        st = CropperState.initialise(rng, noise_dim=3, hidden_dim=4, bounds=bounds)
-        save_checkpoint(st, tmp_path)
-        loaded, _ = load_checkpoint(tmp_path)
-        assert loaded.bounds == bounds
-
-    def test_manifest_shape_mismatch_detected(self, tmp_path, state):
-        save_checkpoint(state, tmp_path)
-        manifest = (tmp_path / "manifest.txt").read_text()
-        (tmp_path / "manifest.txt").write_text(
-            manifest.replace("noise_dim = 5", "noise_dim = 6"))
-        with pytest.raises(TensorFileError):
-            load_checkpoint(tmp_path)
-
-    def test_missing_manifest_key(self, tmp_path, state):
-        save_checkpoint(state, tmp_path)
-        manifest = (tmp_path / "manifest.txt").read_text()
-        kept = "\n".join(line for line in manifest.splitlines()
-                         if not line.startswith("detach_bound"))
-        (tmp_path / "manifest.txt").write_text(kept + "\n")
-        with pytest.raises(ConfigError):
-            load_checkpoint(tmp_path)

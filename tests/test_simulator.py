@@ -245,6 +245,14 @@ class TestTrainConfig:
             TrainConfig(momentum=1.0)
         with pytest.raises(ConfigError, match="temperature"):
             TrainConfig(temperature=-0.1)
+        with pytest.raises(ConfigError, match="spatial_scale"):
+            TrainConfig(spatial_scale_min=0.0)
+        with pytest.raises(ConfigError, match="spatial_scale"):
+            TrainConfig(spatial_scale_max=1.5)
+        with pytest.raises(ConfigError, match="temporal_scale"):
+            TrainConfig(temporal_scale_min=0.8, temporal_scale_max=0.6)
+        with pytest.raises(ConfigError, match="angle"):
+            TrainConfig(angle_min=0.2, angle_max=-0.2)
 
     def test_bounds_property(self):
         cfg = TrainConfig(spatial_scale_min=0.25, spatial_scale_max=0.75,

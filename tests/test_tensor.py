@@ -1,4 +1,10 @@
-"""Tests for the dense tensor core: ops, reductions, file round-trips."""
+"""Tests for the dense array primitives.
+
+``TestMatmul`` and ``TestAsDense`` cover the validated helpers left in
+``paramcrop.tensor``.  ``TestElementwise`` covers the elementwise steps of the
+generator forward in ``paramgen``: its relu, its overflow-safe sigmoid and the
+finiteness guard on its result.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,9 @@ import numpy as np
 import pytest
 
 from paramcrop import tensor
-from paramcrop.errors import DimensionError, NumericsError, TensorFileError
+from paramcrop.affine import ParamBounds
+from paramcrop.errors import DimensionError, NumericsError
+from paramcrop.paramgen import CropperState, _stable_sigmoid, mlp_forward
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,90 +57,31 @@ class TestMatmul:
 
 
 class TestElementwise:
-    def test_binary_ops(self):
-        a = np.array([1.0, -2.0, 3.0])
-        b = np.array([0.5, 4.0, -1.0])
-        np.testing.assert_array_equal(tensor.elementwise("add", a, b), a + b)
-        np.testing.assert_array_equal(tensor.elementwise("sub", a, b), a - b)
-        np.testing.assert_array_equal(tensor.elementwise("mul", a, b), a * b)
-
-    def test_binary_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            tensor.elementwise("add", np.zeros(3), np.zeros(4))
-
     def test_sigmoid_midpoint_and_symmetry(self):
-        assert tensor.elementwise("sigmoid", np.array([0.0]))[0] == 0.5
+        assert _stable_sigmoid(np.array([0.0]))[0] == 0.5
         x = np.linspace(-30.0, 30.0, 101)
-        s = tensor.elementwise("sigmoid", x)
+        s = _stable_sigmoid(x)
         np.testing.assert_allclose(s + s[::-1], np.ones_like(x), atol=1e-15)
         assert np.all((s > 0.0) & (s < 1.0))
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        s = tensor.elementwise("sigmoid", np.array([-1e4, 1e4]))
+        s = _stable_sigmoid(np.array([-1e4, 1e4]))
         np.testing.assert_array_equal(s, [0.0, 1.0])
 
     def test_relu(self):
-        out = tensor.elementwise("relu", np.array([-1.0, 0.0, 2.5]))
-        np.testing.assert_array_equal(out, [0.0, 0.0, 2.5])
-
-    def test_unary_with_second_operand_rejected(self):
-        with pytest.raises(DimensionError):
-            tensor.elementwise("relu", np.zeros(2), np.zeros(2))
-
-    def test_unknown_op(self):
-        with pytest.raises(DimensionError):
-            tensor.elementwise("pow", np.zeros(2), np.zeros(2))
+        # Identity first layer, so the hidden pre-activation is the noise.
+        s = CropperState(w1=np.eye(3), w2=np.zeros((6, 3)), bounds=ParamBounds())
+        _, cache = mlp_forward(np.array([-1.0, 0.0, 2.5]), s)
+        np.testing.assert_array_equal(cache.hidden, [0.0, 0.0, 2.5])
 
     def test_non_finite_result_rejected(self):
-        big = np.array([1e308])
-        with pytest.raises(NumericsError):
-            tensor.elementwise("mul", big, big)
-
-
-class TestReduce:
-    def test_sum_all(self):
-        assert tensor.reduce("sum", np.array([1.0, 2.0, 3.0])) == 6.0
-
-    def test_max_along_axis(self):
-        a = np.array([[1.0, 5.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(tensor.reduce("max", a, axis=1), [5.0, 2.0])
-
-    def test_mean(self):
-        a = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_allclose(tensor.reduce("mean", a, axis=0),
-                                   a.mean(axis=0), rtol=1e-15)
-        assert tensor.reduce("mean", a) == pytest.approx(5.5)
-
-    def test_matches_numpy_on_random_arrays(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a = rng.normal(size=(5, 7))
-            np.testing.assert_allclose(tensor.reduce("sum", a, axis=0),
-                                       a.sum(axis=0), rtol=1e-12)
-            np.testing.assert_allclose(tensor.reduce("sum", a),
-                                       a.sum(), rtol=1e-12)
-
-    def test_bit_identical_on_repeat(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(64, 33))
-        first = tensor.reduce("sum", a, axis=1)
-        second = tensor.reduce("sum", a, axis=1)
-        np.testing.assert_array_equal(first, second)
-        assert tensor.reduce("sum", a) == tensor.reduce("sum", a)
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(DimensionError):
-            tensor.reduce("mean", np.zeros((0, 3)), axis=0)
-        with pytest.raises(DimensionError):
-            tensor.reduce("sum", np.zeros(0))
-
-    def test_bad_axis(self):
-        with pytest.raises(DimensionError):
-            tensor.reduce("sum", np.zeros((2, 2)), axis=2)
-
-    def test_unknown_op(self):
-        with pytest.raises(DimensionError):
-            tensor.reduce("prod", np.ones(3))
+        # The hidden layer overflows to inf, which the sigmoid alone would
+        # turn into a finite 1.
+        w1 = np.full((4, 3), 1e308)
+        w2 = np.full((6, 4), 1e200)
+        s = CropperState(w1=w1, w2=w2, bounds=ParamBounds())
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            mlp_forward(np.ones(3), s)
 
 
 class TestAsDense:
@@ -148,41 +97,3 @@ class TestAsDense:
         arr = tensor.as_dense(np.arange(6).reshape(2, 3)[:, ::-1])
         assert arr.flags["C_CONTIGUOUS"]
         assert arr.dtype == np.float64
-
-
-class TestFileRoundTrip:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(42)
-        arr = rng.normal(size=(3, 4, 5))
-        path = tmp_path / "a.pct"
-        tensor.save_tensor(path, arr)
-        np.testing.assert_array_equal(tensor.load_tensor(path), arr)
-
-    def test_round_trip_scalar(self, tmp_path):
-        path = tmp_path / "s.pct"
-        tensor.save_tensor(path, np.array(3.25))
-        out = tensor.load_tensor(path)
-        assert out.shape == ()
-        assert out == 3.25
-
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "h.pct"
-        tensor.save_tensor(path, np.zeros((2, 3)))
-        raw = path.read_bytes()
-        assert raw[:4] == b"PCT1"
-        assert raw[4:8] == (2).to_bytes(4, "little")
-        assert raw[8:16] == (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
-        assert len(raw) == 16 + 6 * 8
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.pct"
-        path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(TensorFileError):
-            tensor.load_tensor(path)
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "short.pct"
-        tensor.save_tensor(path, np.zeros(4))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(TensorFileError):
-            tensor.load_tensor(path)
