@@ -11,7 +11,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .affine import (
-    AffineParams,
     ParamBounds,
     apply_early_stop,
     build_affine_matrix,
@@ -64,7 +63,7 @@ from .simulator import (
 
 __all__ = [
     "__version__",
-    "AffineParams", "ParamBounds", "apply_early_stop", "build_affine_matrix",
+    "ParamBounds", "apply_early_stop", "build_affine_matrix",
     "clamp_params", "clamp_params_backward", "generate_grid",
     "transform_grid", "transform_grid_backward",
     "LossConfig", "ToyEncoder", "encode", "encode_backward", "nt_xent",

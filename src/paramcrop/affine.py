@@ -7,20 +7,23 @@ them into their admissible physical ranges, where the offset ranges depend on
 the already-mapped scales so that the crop cube can never leave the normalised
 [-1, 1] extent of the source clip.
 
-Everything here is differentiable by hand: each forward op has a matching
-``*_backward`` that propagates loss gradients with plain ndarray arithmetic.
+Batch-first: crop parameters travel as ``(R, 6)`` arrays, one row per crop in
+canonical order, from :func:`clamp_params` through :func:`build_affine_matrix`
+(``(R, 3, 4)``) and :func:`transform_grid` and back; a single crop is a
+leading axis of 1.  Everything here is differentiable by hand: each forward op
+has a matching ``*_backward`` that propagates loss gradients with plain
+ndarray arithmetic.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-# Indices into a unit-parameter (or parameter-gradient) vector of length 6.
+# Column indices into a unit-parameter (or parameter-gradient) row of length 6.
 SPATIAL_SCALE, TEMPORAL_SCALE, ANGLE, OFFSET_X, OFFSET_Y, OFFSET_T = range(6)
 
 
@@ -35,7 +38,8 @@ class ParamBounds:
     Parameters
     ----------
     spatial_scale_range, temporal_scale_range : (float, float)
-        Half-extent ranges; minima must be strictly positive.
+        Half-extent ranges; minima must be strictly positive and large
+        enough that the smallest crop cube's volume does not underflow to 0.
     angle_range : (float, float)
         In-plane rotation range in radians.  Default pins the angle to zero.
     detach_bound : float
@@ -62,6 +66,14 @@ class ParamBounds:
                     f"{name}: scale maximum must not exceed 1 (crops must fit "
                     f"inside the source), got {hi}"
                 )
+        # Overlap metrics divide by crop cube volumes, the smallest of which
+        # must stay a positive float.
+        sp_min, st_min = self.spatial_scale_range[0], self.temporal_scale_range[0]
+        if (2.0 * sp_min) ** 2 * (2.0 * st_min) == 0.0:
+            raise ConfigError(
+                f"spatial_scale_range, temporal_scale_range: the smallest crop "
+                f"cube volume underflows to 0 at minima ({sp_min}, {st_min})"
+            )
         if not 0.0 <= self.detach_bound <= 0.5:
             raise ConfigError(
                 f"detach_bound must lie in [0, 0.5], got {self.detach_bound}"
@@ -77,34 +89,7 @@ class ParamBounds:
         )
 
 
-@dataclass(frozen=True)
-class AffineParams:
-    """Physical crop parameters after interval mapping."""
-
-    spatial_scale: float
-    temporal_scale: float
-    angle: float
-    dx: float
-    dy: float
-    dt: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.spatial_scale, self.temporal_scale, self.angle,
-             self.dx, self.dy, self.dt]
-        )
-
-
-def _check_unit(unit_params: np.ndarray) -> np.ndarray:
-    v = np.asarray(unit_params, dtype=np.float64)
-    if v.shape != (6,):
-        raise DimensionError(f"unit params must have shape (6,), got {v.shape}")
-    return v
-
-
-def apply_early_stop(
-    unit_params: np.ndarray, detach_bound: float
-) -> tuple[np.ndarray, np.ndarray]:
+def apply_early_stop(unit_params: np.ndarray, detach_bound: float) -> np.ndarray:
     """Early-stopping mask for near-saturated unit params.
 
     A coordinate further than ``0.5 - detach_bound`` from the midpoint 0.5 is
@@ -114,36 +99,35 @@ def apply_early_stop(
 
     Returns
     -------
-    (values, mask)
-        ``values`` is the input unchanged; ``mask`` is a boolean (6,) array,
+    (R, 6) boolean ndarray
         True where the gradient should still flow.  *detach_bound* is taken
         as already validated (see :class:`ParamBounds`).
     """
-    v = _check_unit(unit_params)
-    mask = np.abs(v - 0.5) <= 0.5 - detach_bound
-    return v, mask
+    return np.abs(np.asarray(unit_params, dtype=np.float64) - 0.5) <= 0.5 - detach_bound
 
 
-def clamp_params(unit_params: np.ndarray, bounds: ParamBounds) -> AffineParams:
-    """Map unit params into physical ranges (offsets use scale-aware bounds).
+def clamp_params(unit_params: np.ndarray, bounds: ParamBounds) -> np.ndarray:
+    """Map (R, 6) unit params to (R, 6) physical params.
 
     Scales and angle are mapped affinely by their static ranges; offsets are
     then mapped by ``[scale - 1, 1 - scale]`` using the freshly mapped scales,
     which guarantees containment of the crop cube for zero angle.
     """
-    v = _check_unit(unit_params)
+    v = np.asarray(unit_params, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != 6:
+        raise DimensionError(f"unit params must have shape (R, 6), got {v.shape}")
     sp_lo, sp_hi = bounds.spatial_scale_range
     st_lo, st_hi = bounds.temporal_scale_range
     an_lo, an_hi = bounds.angle_range
-    sp = sp_lo + v[SPATIAL_SCALE] * (sp_hi - sp_lo)
-    st = st_lo + v[TEMPORAL_SCALE] * (st_hi - st_lo)
-    angle = an_lo + v[ANGLE] * (an_hi - an_lo)
+    u_sp, u_st, u_an, u_x, u_y, u_t = v.T
+    sp = sp_lo + u_sp * (sp_hi - sp_lo)
+    st = st_lo + u_st * (st_hi - st_lo)
+    angle = an_lo + u_an * (an_hi - an_lo)
     (dx_lo, dx_hi), (dt_lo, dt_hi) = bounds.offset_bounds(sp, st)
-    dx = dx_lo + v[OFFSET_X] * (dx_hi - dx_lo)
-    dy = dx_lo + v[OFFSET_Y] * (dx_hi - dx_lo)
-    dt = dt_lo + v[OFFSET_T] * (dt_hi - dt_lo)
-    return AffineParams(float(sp), float(st), float(angle),
-                        float(dx), float(dy), float(dt))
+    dx = dx_lo + u_x * (dx_hi - dx_lo)
+    dy = dx_lo + u_y * (dx_hi - dx_lo)
+    dt = dt_lo + u_t * (dt_hi - dt_lo)
+    return np.stack([sp, st, angle, dx, dy, dt], axis=1)
 
 
 def clamp_params_backward(
@@ -161,64 +145,65 @@ def clamp_params_backward(
 
     Parameters
     ----------
-    grad_params : (6,) ndarray
+    grad_params : (R, 6) ndarray
         Loss gradient w.r.t. the mapped parameters, canonical order.
-    unit_params : (6,) ndarray
+    unit_params : (R, 6) ndarray
         The raw values originally passed to :func:`clamp_params`.
-    mask : (6,) boolean ndarray
+    mask : (R, 6) boolean ndarray
         Early-stop mask; masked-out coordinates get zero gradient.
 
     Returns
     -------
-    (6,) ndarray
+    (R, 6) ndarray
         Loss gradient w.r.t. the unit params.
     """
     g = np.asarray(grad_params, dtype=np.float64)
-    if g.shape != (6,):
-        raise DimensionError(f"grad params must have shape (6,), got {g.shape}")
-    v = _check_unit(unit_params)
+    v = np.asarray(unit_params, dtype=np.float64)
     m = np.asarray(mask)
-    if m.shape != (6,):
-        raise DimensionError(f"mask must have shape (6,), got {m.shape}")
+    if v.ndim != 2 or v.shape[1] != 6 or not g.shape == m.shape == v.shape:
+        raise DimensionError(
+            f"grad params, unit params and mask must share one (R, 6) shape, "
+            f"got {g.shape}, {v.shape} and {m.shape}"
+        )
     sp_lo, sp_hi = bounds.spatial_scale_range
     st_lo, st_hi = bounds.temporal_scale_range
     an_lo, an_hi = bounds.angle_range
     sp_span = sp_hi - sp_lo
     st_span = st_hi - st_lo
-    sp = sp_lo + v[SPATIAL_SCALE] * sp_span
-    st = st_lo + v[TEMPORAL_SCALE] * st_span
+    sp = sp_lo + v[:, SPATIAL_SCALE] * sp_span
+    st = st_lo + v[:, TEMPORAL_SCALE] * st_span
 
-    out = np.zeros(6)
-    out[SPATIAL_SCALE] = sp_span * (
-        g[SPATIAL_SCALE]
-        + g[OFFSET_X] * (1.0 - 2.0 * v[OFFSET_X])
-        + g[OFFSET_Y] * (1.0 - 2.0 * v[OFFSET_Y])
+    out = np.empty_like(g)
+    out[:, SPATIAL_SCALE] = sp_span * (
+        g[:, SPATIAL_SCALE]
+        + g[:, OFFSET_X] * (1.0 - 2.0 * v[:, OFFSET_X])
+        + g[:, OFFSET_Y] * (1.0 - 2.0 * v[:, OFFSET_Y])
     )
-    out[TEMPORAL_SCALE] = st_span * (
-        g[TEMPORAL_SCALE] + g[OFFSET_T] * (1.0 - 2.0 * v[OFFSET_T])
+    out[:, TEMPORAL_SCALE] = st_span * (
+        g[:, TEMPORAL_SCALE] + g[:, OFFSET_T] * (1.0 - 2.0 * v[:, OFFSET_T])
     )
-    out[ANGLE] = (an_hi - an_lo) * g[ANGLE]
-    out[OFFSET_X] = 2.0 * (1.0 - sp) * g[OFFSET_X]
-    out[OFFSET_Y] = 2.0 * (1.0 - sp) * g[OFFSET_Y]
-    out[OFFSET_T] = 2.0 * (1.0 - st) * g[OFFSET_T]
+    out[:, ANGLE] = (an_hi - an_lo) * g[:, ANGLE]
+    out[:, OFFSET_X] = 2.0 * (1.0 - sp) * g[:, OFFSET_X]
+    out[:, OFFSET_Y] = 2.0 * (1.0 - sp) * g[:, OFFSET_Y]
+    out[:, OFFSET_T] = 2.0 * (1.0 - st) * g[:, OFFSET_T]
     return out * m.astype(np.float64)
 
 
-def build_affine_matrix(params: AffineParams) -> np.ndarray:
-    """Assemble the 3x4 crop transform acting on homogeneous (x, y, t, 1).
+def build_affine_matrix(params: np.ndarray) -> np.ndarray:
+    """Assemble the (R, 3, 4) crop transforms acting on homogeneous (x, y, t, 1).
 
     The spatial block scales and rotates in-plane; time is scaled and shifted
     independently.  Note the off-diagonal sine entries carry no scale factor.
     """
-    sp, st = params.spatial_scale, params.temporal_scale
-    c, s = np.cos(params.angle), np.sin(params.angle)
-    return np.array(
-        [
-            [sp * c, -s, 0.0, params.dx],
-            [s, sp * c, 0.0, params.dy],
-            [0.0, 0.0, st, params.dt],
-        ]
-    )
+    sp, st, angle, dx, dy, dt = np.asarray(params, dtype=np.float64).T
+    c, s = np.cos(angle), np.sin(angle)
+    out = np.zeros((len(sp), 3, 4))
+    out[:, 0, 0] = out[:, 1, 1] = sp * c
+    out[:, 0, 1] = -s
+    out[:, 1, 0] = s
+    out[:, 2, 2] = st
+    out[:, :, 3] = np.stack([dx, dy, dt], axis=1)
+    return out
 
 
 def generate_grid(t_len: int, h_len: int, w_len: int) -> np.ndarray:
@@ -275,7 +260,7 @@ def transform_grid(grid: np.ndarray, matrices: np.ndarray) -> np.ndarray:
 
 
 def transform_grid_backward(
-    grad_coords: np.ndarray, grid: np.ndarray, params: Sequence[AffineParams]
+    grad_coords: np.ndarray, grid: np.ndarray, params: np.ndarray
 ) -> np.ndarray:
     """Gradient of :func:`transform_grid` w.r.t. each row's six crop parameters.
 
@@ -285,7 +270,7 @@ def transform_grid_backward(
         Loss gradient w.r.t. the transformed coordinates.
     grid : (..., 3) ndarray
         The *untransformed* grid that was fed to :func:`transform_grid`.
-    params : sequence of R AffineParams
+    params : (R, 6) ndarray
         Parameters each row's matrix was built from (the angle/scale
         derivative terms depend on them).
 
@@ -296,20 +281,20 @@ def transform_grid_backward(
     """
     g = np.asarray(grad_coords, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
-    if g.shape != (len(params),) + grid.shape:
+    params = np.asarray(params, dtype=np.float64)
+    rows = params.shape[0]
+    if g.shape != (rows,) + grid.shape:
         raise DimensionError(
-            f"grad/grid shape mismatch: {g.shape} vs "
-            f"{(len(params),) + grid.shape}"
+            f"grad/grid shape mismatch: {g.shape} vs {(rows,) + grid.shape}"
         )
     x, y, t = grid.reshape(-1, 3).T
-    g = g.reshape(len(params), -1, 3)
+    g = g.reshape(rows, -1, 3)
     gx, gy, gt = g[..., 0], g[..., 1], g[..., 2]
-    sp = np.array([p.spatial_scale for p in params])
-    angle = np.array([p.angle for p in params])
-    c, s = np.cos(angle), np.sin(angle)
+    sp = params[:, SPATIAL_SCALE]
+    c, s = np.cos(params[:, ANGLE]), np.sin(params[:, ANGLE])
     gx_x, gx_y, gy_x, gy_y = gx @ x, gx @ y, gy @ x, gy @ y
 
-    out = np.empty((len(params), 6))
+    out = np.empty((rows, 6))
     out[:, SPATIAL_SCALE] = c * gx_x + c * gy_y
     out[:, TEMPORAL_SCALE] = gt @ t
     # d/dangle of [sp*c, -s; s, sp*c] applied to (x, y).

@@ -45,7 +45,13 @@ from .contrastive import (
     nt_xent_backward,
 )
 from .errors import ConfigError
-from .paramgen import CropperState, mlp_backward, mlp_forward, reverse_gradient
+from .paramgen import (
+    CropperState,
+    MlpCache,
+    mlp_backward,
+    mlp_forward,
+    reverse_gradient,
+)
 from .sampler import resample, sample, sample_backward
 from .simulator import make_synthetic_batch
 
@@ -136,13 +142,13 @@ def check_interval_map(seed_seq: np.random.SeedSequence, h: float) -> float:
         temporal_scale_range=(rng.uniform(0.3, 0.6), rng.uniform(0.65, 0.95)),
         angle_range=(rng.uniform(-0.6, -0.1), rng.uniform(0.1, 0.6)),
     )
-    unit = rng.random(6)
-    weight = rng.normal(size=6)
-    full_mask = np.ones(6, dtype=bool)
+    unit = rng.random((1, 6))
+    weight = rng.normal(size=(1, 6))
+    full_mask = np.ones((1, 6), dtype=bool)
     analytic = clamp_params_backward(weight, unit, bounds, full_mask)
 
     def objective(v):
-        return float(np.dot(weight, clamp_params(v, bounds).as_vector()))
+        return float(np.vdot(weight, clamp_params(v, bounds)))
 
     numeric = central_difference(objective, unit, h)
     return max_relative_error(analytic, numeric)
@@ -153,29 +159,22 @@ def check_grid_transform(seed_seq: np.random.SeedSequence, h: float) -> float:
     rng = np.random.default_rng(seed_seq)
     grid = rng.uniform(-1.0, 1.0, size=(2, 3, 4, 3))
     weight = rng.normal(size=grid.shape)
-    params_vec = np.array(
-        [
+    params = np.array(
+        [[
             rng.uniform(0.4, 0.9),
             rng.uniform(0.4, 0.9),
             rng.uniform(-0.7, 0.7),
             rng.uniform(-0.3, 0.3),
             rng.uniform(-0.3, 0.3),
             rng.uniform(-0.3, 0.3),
-        ]
+        ]]
     )
+    analytic = transform_grid_backward(weight[None], grid, params)
 
-    def to_params(vec):
-        from .affine import AffineParams
+    def objective(p):
+        return float(np.sum(weight * transform_grid(grid, build_affine_matrix(p))))
 
-        return AffineParams(*[float(x) for x in vec])
-
-    analytic = transform_grid_backward(weight[None], grid, [to_params(params_vec)])
-
-    def objective(vec):
-        matrix = build_affine_matrix(to_params(vec))
-        return float(np.sum(weight * transform_grid(grid, matrix[None])))
-
-    numeric = central_difference(objective, params_vec, h)
+    numeric = central_difference(objective, params, h)
     return max_relative_error(analytic, numeric)
 
 
@@ -243,7 +242,7 @@ def _mlp_instance(seed_seq: np.random.SeedSequence):
         state = CropperState.initialise(
             rng, noise_dim=5, hidden_dim=7, init_scale=0.1
         )
-        noise = rng.random(5)
+        noise = rng.random((1, 5))
         _, cache = mlp_forward(noise, state)
         if np.min(np.abs(cache.hidden_pre)) > 1e-5:
             return state, noise, rng
@@ -253,17 +252,17 @@ def _mlp_instance(seed_seq: np.random.SeedSequence):
 def check_generator_mlp(seed_seq: np.random.SeedSequence, h: float) -> float:
     """Generator unit-params w.r.t. both weight matrices."""
     state, noise, rng = _mlp_instance(seed_seq)
-    weight = rng.normal(size=6)
+    weight = rng.normal(size=(1, 6))
     unit, cache = mlp_forward(noise, state)
     grad_w1, grad_w2 = mlp_backward(weight, cache, state)
 
     def objective_w1(w1):
         out, _ = mlp_forward(noise, replace(state, w1=w1))
-        return float(np.dot(weight, out))
+        return float(np.vdot(weight, out))
 
     def objective_w2(w2):
         out, _ = mlp_forward(noise, replace(state, w2=w2))
-        return float(np.dot(weight, out))
+        return float(np.vdot(weight, out))
 
     err1 = max_relative_error(grad_w1, central_difference(objective_w1, state.w1, h))
     err2 = max_relative_error(grad_w2, central_difference(objective_w2, state.w2, h))
@@ -291,12 +290,16 @@ class ChainInstance:
 class ChainForward:
     """Everything the backward of one chain forward pass needs.
 
-    ``rows`` holds, per crop in row order ``2k + branch``, the generator
-    output, its detach mask, the MLP cache, the mapped parameters and the
-    branch.
+    ``units``, ``masks`` and ``params`` are (num_samples, 2, 6): the
+    generator output, its detach mask and the mapped parameters of view
+    ``branch`` of sample ``k`` sit at ``[k, branch]``.  ``mlp_caches`` holds
+    one cache per branch.
     """
 
-    rows: list[dict]
+    units: np.ndarray
+    masks: np.ndarray
+    params: np.ndarray
+    mlp_caches: tuple[MlpCache, MlpCache]
     grids: np.ndarray  # (2 * num_samples, T', H', W', 3)
     jacobian: np.ndarray | None
     enc_cache: EncodeCache
@@ -310,23 +313,21 @@ def _chain_forward(inst: ChainInstance, croppers=None, backward: bool = False):
     """
     croppers = croppers or inst.croppers
     num = inst.videos.shape[0]
-    rows = []
-    for k in range(num):
-        for branch in (0, 1):
-            state = croppers[branch]
-            unit, mlp_cache = mlp_forward(inst.noises[k, branch], state)
-            unit, mask = apply_early_stop(unit, 0.0)  # full gradient flow
-            rows.append(
-                dict(unit=unit, mask=mask, mlp_cache=mlp_cache, branch=branch,
-                     params=clamp_params(unit, state.bounds))
-            )
-    matrices = np.stack([build_affine_matrix(row["params"]) for row in rows])
-    grids = transform_grid(inst.crop_grid, matrices)
+    outs = [mlp_forward(inst.noises[:, b], state) for b, state in enumerate(croppers)]
+    units = np.stack([unit for unit, _ in outs], axis=1)
+    params = np.stack(
+        [clamp_params(units[:, b], state.bounds) for b, state in enumerate(croppers)],
+        axis=1,
+    )
+    masks = apply_early_stop(units, 0.0)  # full gradient flow
+    grids = transform_grid(inst.crop_grid, build_affine_matrix(params.reshape(-1, 6)))
     views = (inst.videos, grids.reshape((num, 2) + grids.shape[1:]))
     crops, jacobian = sample(*views) if backward else (resample(*views), None)
     embeddings, enc_cache = encode(crops, inst.encoder)
     loss = nt_xent(embeddings, inst.loss_cfg)
-    return loss, embeddings, ChainForward(rows, grids, jacobian, enc_cache)
+    fwd = ChainForward(units, masks, params, tuple(c for _, c in outs),
+                       grids, jacobian, enc_cache)
+    return loss, embeddings, fwd
 
 
 def chain_loss(inst: ChainInstance, croppers=None) -> float:
@@ -346,23 +347,17 @@ def chain_cropper_grads(
     _, grad_crops = encode_backward(grad_rows, fwd.enc_cache, inst.encoder)
     grad_coords = sample_backward(grad_crops, fwd.jacobian)
     grad_params = transform_grid_backward(
-        grad_coords, inst.crop_grid, [row["params"] for row in fwd.rows]
-    )
-    acc = [
-        (np.zeros_like(inst.croppers[b].w1), np.zeros_like(inst.croppers[b].w2))
-        for b in range(2)
-    ]
-    for i, row in enumerate(fwd.rows):
-        state = inst.croppers[row["branch"]]
+        grad_coords, inst.crop_grid, fwd.params.reshape(-1, 6)
+    ).reshape(fwd.params.shape)
+    grads = []
+    for b, state in enumerate(inst.croppers):
         grad_unit = clamp_params_backward(
-            grad_params[i], row["unit"], state.bounds, row["mask"]
+            grad_params[:, b], fwd.units[:, b], state.bounds, fwd.masks[:, b]
         )
         if reverse:
             grad_unit = reverse_gradient(grad_unit)
-        gw1, gw2 = mlp_backward(grad_unit, row["mlp_cache"], state)
-        acc[row["branch"]] = (acc[row["branch"]][0] + gw1,
-                              acc[row["branch"]][1] + gw2)
-    return acc
+        grads.append(mlp_backward(grad_unit, fwd.mlp_caches[b], state))
+    return grads
 
 
 def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
@@ -417,7 +412,7 @@ def _chain_is_smooth(inst: ChainInstance) -> bool:
     _, _, fwd = _chain_forward(inst)
     if not np.all(_grid_safe_mask(fwd.grids, inst.videos.shape[2:], margin=1e-5)):
         return False
-    if any(np.min(np.abs(row["mlp_cache"].hidden_pre)) <= 1e-5 for row in fwd.rows):
+    if any(np.min(np.abs(c.hidden_pre)) <= 1e-5 for c in fwd.mlp_caches):
         return False
     cache = fwd.enc_cache
     return np.min(np.abs(cache.conv_pre)) > 1e-5 and np.min(cache.norm) > 1e-3

@@ -1,11 +1,12 @@
 """Noise-to-crop-parameter generator and its adversarial training plumbing.
 
 The generator is a deliberately small two-layer perceptron without biases:
-``unit = sigmoid(W2 @ relu(W1 @ noise))`` with noise drawn uniformly from
-[0, 1).  Because freshly initialised weights are tiny, the pre-sigmoid
-outputs start near zero and every unit parameter starts near 0.5 — the two
-crop branches therefore begin almost identical and drift apart only as the
-adversarial signal pushes them.
+``unit = sigmoid(relu(noise @ W1.T) @ W2.T)`` with noise drawn uniformly from
+[0, 1).  It is batch-first: ``R`` noise rows in, ``(R, 6)`` unit params out,
+and the backward sums the weight gradients over the rows.  Because freshly
+initialised weights are tiny, the pre-sigmoid outputs start near zero and
+every unit parameter starts near 0.5 — the two crop branches therefore begin
+almost identical and drift apart only as the adversarial signal pushes them.
 
 The generator maximises the contrastive loss; rather than special-casing an
 ascent optimiser, callers negate the incoming gradient with
@@ -64,19 +65,19 @@ class CropperState:
 
 @dataclass(frozen=True)
 class MlpCache:
-    """Forward intermediates needed by :func:`mlp_backward`."""
+    """Forward intermediates needed by :func:`mlp_backward`, one row per draw."""
 
-    noise: np.ndarray
-    hidden_pre: np.ndarray
-    hidden: np.ndarray
-    unit: np.ndarray
+    noise: np.ndarray  # (R, noise_dim)
+    hidden_pre: np.ndarray  # (R, hidden_dim)
+    hidden: np.ndarray  # (R, hidden_dim)
+    unit: np.ndarray  # (R, 6)
 
 
-def sample_noise(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Draw one noise vector uniformly from [0, 1)^dim."""
+def sample_noise(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """Draw *count* noise rows uniformly from [0, 1)^dim, shape (count, dim)."""
     if dim < 1:
         raise ConfigError(f"noise dimension must be >= 1, got {dim}")
-    return rng.random(dim)
+    return rng.random((count, dim))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -90,16 +91,16 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, MlpCache]:
-    """Map a noise vector to six unit-interval crop parameters."""
+    """Map (R, noise_dim) noise rows to (R, 6) unit-interval crop parameters."""
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (state.noise_dim,):
+    if noise.ndim != 2 or noise.shape[1] != state.noise_dim:
         raise ConfigError(
             f"noise shape {noise.shape} does not match generator input "
-            f"({state.noise_dim},)"
+            f"(R, {state.noise_dim})"
         )
-    hidden_pre = state.w1 @ noise
+    hidden_pre = noise @ state.w1.T
     hidden = np.maximum(hidden_pre, 0.0)
-    unit = _stable_sigmoid(state.w2 @ hidden)
+    unit = _stable_sigmoid(hidden @ state.w2.T)
     # Non-finite crop parameters would otherwise reach the sampler's integer
     # gather; the sigmoid maps an infinite hidden unit to a finite 0 or 1, so
     # both layers are checked.
@@ -112,18 +113,17 @@ def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, Mlp
 def mlp_backward(
     grad_unit: np.ndarray, cache: MlpCache, state: CropperState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the generator weights given a gradient on the outputs.
+    """Gradients of the generator weights given (R, 6) gradients on the outputs.
 
-    Returns ``(grad_w1, grad_w2)``.  The ReLU subgradient at exactly zero is
-    taken as zero.
+    Returns ``(grad_w1, grad_w2)``, each summed over the R rows.  The ReLU
+    subgradient at exactly zero is taken as zero.
     """
     grad_unit = np.asarray(grad_unit, dtype=np.float64)
     v = cache.unit
     grad_raw = grad_unit * v * (1.0 - v)          # through the sigmoid
-    grad_w2 = np.outer(grad_raw, cache.hidden)
-    grad_hidden = state.w2.T @ grad_raw
-    grad_pre = grad_hidden * (cache.hidden_pre > 0.0)
-    grad_w1 = np.outer(grad_pre, cache.noise)
+    grad_w2 = grad_raw.T @ cache.hidden
+    grad_pre = (grad_raw @ state.w2) * (cache.hidden_pre > 0.0)
+    grad_w1 = grad_pre.T @ cache.noise
     return grad_w1, grad_w2
 
 

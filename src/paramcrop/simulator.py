@@ -12,12 +12,13 @@ parameters before any resampling, so they carry no interpolation error.
 
 A training step is batch-first: the N clips of a step are one (N, C, T, H,
 W) array, and all 2N crops travel as one leading row axis, row ``2k +
-branch`` for view ``branch`` of clip ``k``, through the grid transform, the
-sampler, the encoder and the loss, and back.  Only the six crop parameters
-and the generator MLPs stay per row.  The sampler hands its coordinate
-jacobian to the backward, so the clips are released right after sampling;
-and when the detach band masks every parameter of a step, the crop gradient
-is not computed at all, since it would be zeroed.
+branch`` for view ``branch`` of clip ``k``, from the generator noise through
+the (2N, 6) crop parameters, the grid transform, the sampler, the encoder and
+the loss, and back; each generator sees its own N rows.  The crop metrics
+compare the N view-A cubes with the N view-B cubes in one call.  The sampler
+hands its coordinate jacobian to the backward, so the clips are released
+right after sampling; and when the detach band masks every parameter of a
+step, the crop gradient is not computed at all, since it would be zeroed.
 
 Determinism: a run is a pure function of its config.  All randomness flows
 from one seed through a fixed tree of spawned generators, and gradient
@@ -32,7 +33,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .affine import (
-    AffineParams,
+    ANGLE,
+    OFFSET_T,
+    OFFSET_X,
+    OFFSET_Y,
+    SPATIAL_SCALE,
+    TEMPORAL_SCALE,
     ParamBounds,
     apply_early_stop,
     build_affine_matrix,
@@ -53,7 +59,6 @@ from .contrastive import (
 from .errors import ConfigError, TrainingError, UnsupportedMetricError
 from .paramgen import (
     CropperState,
-    MlpCache,
     SgdMomentum,
     mlp_backward,
     mlp_forward,
@@ -77,10 +82,10 @@ CSV_HEADER = "step,loss,iou,dist_raw,dist_norm,v_sp,v_st,v_theta,v_dx,v_dy,v_dt"
 
 @dataclass(frozen=True)
 class CropCube:
-    """Axis-aligned cube in the normalised clip volume.
+    """N axis-aligned cubes in the normalised clip volume.
 
-    ``center`` and ``half`` are (x, y, t) arrays; the cube spans
-    ``center - half`` to ``center + half`` per axis.
+    ``center`` and ``half`` are (N, 3) arrays of (x, y, t); cube ``i`` spans
+    ``center[i] - half[i]`` to ``center[i] + half[i]`` per axis.
     """
 
     center: np.ndarray
@@ -88,56 +93,59 @@ class CropCube:
 
     @property
     def intervals(self) -> np.ndarray:
-        """(3, 2) array of per-axis (low, high) bounds."""
-        return np.stack([self.center - self.half, self.center + self.half], axis=1)
+        """(N, 3, 2) array of per-axis (low, high) bounds."""
+        return np.stack([self.center - self.half, self.center + self.half], axis=-1)
 
     @property
-    def volume(self) -> float:
-        return float(np.prod(2.0 * self.half))
+    def volume(self) -> np.ndarray:
+        """(N,) cube volumes."""
+        return np.prod(2.0 * self.half, axis=-1)
 
 
-def crop_cube(params: AffineParams) -> CropCube:
-    """Cube covered by a zero-angle crop.
+def crop_cube(params: np.ndarray) -> CropCube:
+    """Cubes covered by N zero-angle crops given as (N, 6) params.
 
     Raises
     ------
     UnsupportedMetricError
-        If the angle is non-zero: a rotated crop is not axis-aligned, so the
+        If any angle is non-zero: a rotated crop is not axis-aligned, so the
         interval metrics below do not apply.
     """
-    if params.angle != 0.0:
+    params = np.asarray(params, dtype=np.float64)
+    angles = params[:, ANGLE]
+    if np.any(angles != 0.0):
         raise UnsupportedMetricError(
-            f"crop cube is only defined for zero angle, got {params.angle}"
+            f"crop cube is only defined for zero angle, got "
+            f"{angles[angles != 0.0][0]}"
         )
-    center = np.array([params.dx, params.dy, params.dt])
-    half = np.array(
-        [params.spatial_scale, params.spatial_scale, params.temporal_scale]
+    return CropCube(
+        center=params[:, [OFFSET_X, OFFSET_Y, OFFSET_T]],
+        half=params[:, [SPATIAL_SCALE, SPATIAL_SCALE, TEMPORAL_SCALE]],
     )
-    return CropCube(center=center, half=half)
 
 
-def st_iou(a: CropCube, b: CropCube) -> float:
-    """Intersection-over-union of two axis-aligned cubes."""
+def st_iou(a: CropCube, b: CropCube) -> np.ndarray:
+    """(N,) intersection-over-union of cube ``a[i]`` with cube ``b[i]``."""
     ia, ib = a.intervals, b.intervals
-    overlap = np.minimum(ia[:, 1], ib[:, 1]) - np.maximum(ia[:, 0], ib[:, 0])
-    inter = float(np.prod(np.maximum(overlap, 0.0)))
+    overlap = np.minimum(ia[..., 1], ib[..., 1]) - np.maximum(ia[..., 0], ib[..., 0])
+    inter = np.prod(np.maximum(overlap, 0.0), axis=-1)
     union = a.volume + b.volume - inter
     return inter / union
 
 
-def center_manhattan(a: CropCube, b: CropCube) -> tuple[float, float]:
-    """Manhattan distance between cube centres, raw and normalised.
+def center_manhattan(a: CropCube, b: CropCube) -> tuple[np.ndarray, np.ndarray]:
+    """(N,) Manhattan distances between cube centres, raw and normalised.
 
     The normaliser is the largest Manhattan distance reachable at the cubes'
     own sizes (per axis, each centre can stray at most ``1 - half`` from the
     origin).  When both cubes fill the clip the normaliser is zero and the
     normalised distance is defined as zero.
     """
-    raw = float(np.sum(np.abs(a.center - b.center)))
-    denom = float(np.sum((1.0 - a.half) + (1.0 - b.half)))
-    if denom <= 0.0:
-        return raw, 0.0
-    return raw, min(raw / denom, 1.0)
+    raw = np.sum(np.abs(a.center - b.center), axis=-1)
+    denom = np.sum((1.0 - a.half) + (1.0 - b.half), axis=-1)
+    norm = np.zeros_like(raw)
+    np.divide(raw, denom, out=norm, where=denom > 0.0)
+    return raw, np.minimum(norm, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +167,11 @@ def baseline_params(
     step: int,
     total_steps: int,
     rng: np.random.Generator,
+    count: int,
     jitter: float = 0.0,
     manual_breakpoint: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-interval parameter vectors for the two views of one sample.
+) -> np.ndarray:
+    """(count, 2, 6) unit params: views A and B of each of *count* samples.
 
     Strategies
     ----------
@@ -181,23 +190,21 @@ def baseline_params(
     placements (ignored for ``random``), then clips back to [0, 1].
     """
     if strategy == "random":
-        return rng.random(6), rng.random(6)
+        return rng.random((count, 2, 6))
     if strategy == "simple":
-        base_a = np.array([1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
-        base_b = base_a.copy()
+        base = [[1.0, 1.0, 0.5, 0.5, 0.5, 0.5]] * 2
     elif strategy == "hard":
-        base_a = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
-        base_b = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
+        base = [[0.0, 0.0, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0, 1.0]]
     elif strategy == "manual":
         gap = _manual_ramp(step, total_steps, manual_breakpoint)
-        base_a = np.array([0.0, 0.0, 0.5] + [0.5 - gap / 2.0] * 3)
-        base_b = np.array([0.0, 0.0, 0.5] + [0.5 + gap / 2.0] * 3)
+        base = [[0.0, 0.0, 0.5] + [0.5 - gap / 2.0] * 3,
+                [0.0, 0.0, 0.5] + [0.5 + gap / 2.0] * 3]
     else:
         raise ConfigError(f"unknown crop strategy '{strategy}'")
+    units = np.tile(np.array(base), (count, 1, 1))
     if jitter > 0.0:
-        base_a = np.clip(base_a + rng.uniform(-jitter, jitter, 6), 0.0, 1.0)
-        base_b = np.clip(base_b + rng.uniform(-jitter, jitter, 6), 0.0, 1.0)
-    return base_a, base_b
+        units = np.clip(units + rng.uniform(-jitter, jitter, units.shape), 0.0, 1.0)
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -527,29 +534,19 @@ class _Trainer:
 
     # -- parameter draws ---------------------------------------------------
 
-    def _draw_pair(
-        self, step: int, rng_override: np.random.Generator | None = None
-    ) -> tuple[tuple[np.ndarray, ...], tuple]:
-        """One (view A, view B) unit-param draw plus adversary bookkeeping."""
+    def _generate(self, noises) -> tuple[np.ndarray, list]:
+        """(2N, 6) unit params in 2k + branch order from each branch's N noise rows."""
+        outs = [mlp_forward(n, state) for n, state in zip(noises, self.croppers)]
+        units = np.stack([unit for unit, _ in outs], axis=1).reshape(-1, 6)
+        return units, [cache for _, cache in outs]
+
+    def _baseline(self, step: int, rng: np.random.Generator, count: int) -> np.ndarray:
+        """(2 * count, 6) baseline unit params in 2k + branch order."""
         cfg = self.cfg
-        if self.adversarial:
-            units, masks, caches = [], [], []
-            for branch in (0, 1):
-                rng = rng_override or self.noise_rngs[branch]
-                noise = sample_noise(rng, cfg.noise_dim)
-                unit, cache = mlp_forward(noise, self.croppers[branch])
-                unit, mask = apply_early_stop(unit, self.bounds.detach_bound)
-                units.append(unit)
-                masks.append(mask)
-                caches.append(cache)
-            return tuple(units), (tuple(masks), tuple(caches))
-        rng = rng_override or self.baseline_rng
-        unit_a, unit_b = baseline_params(
-            cfg.strategy, step, cfg.steps, rng,
-            jitter=cfg.baseline_jitter,
-            manual_breakpoint=cfg.manual_breakpoint,
-        )
-        return (unit_a, unit_b), (None, None)
+        return baseline_params(
+            cfg.strategy, step, cfg.steps, rng, count,
+            jitter=cfg.baseline_jitter, manual_breakpoint=cfg.manual_breakpoint,
+        ).reshape(-1, 6)
 
     # -- probe -------------------------------------------------------------
 
@@ -557,14 +554,18 @@ class _Trainer:
         """Mean overlap/distance of fresh parameter draws before training."""
         if not self.metrics_enabled:
             return float("nan"), float("nan")
-        ious, dists = [], []
-        for _ in range(self.cfg.probe_samples):
-            units, _ = self._draw_pair(step=0, rng_override=self.probe_rng)
-            cube_a = crop_cube(clamp_params(units[0], self.bounds))
-            cube_b = crop_cube(clamp_params(units[1], self.bounds))
-            ious.append(st_iou(cube_a, cube_b))
-            dists.append(center_manhattan(cube_a, cube_b)[1])
-        return float(np.mean(ious)), float(np.mean(dists))
+        cfg = self.cfg
+        count = cfg.probe_samples
+        if self.adversarial:
+            # One stream for both branches, drawn in 2k + branch order.
+            noise = sample_noise(self.probe_rng, 2 * count, cfg.noise_dim)
+            units, _ = self._generate((noise[0::2], noise[1::2]))
+        else:
+            units = self._baseline(0, self.probe_rng, count)
+        params = clamp_params(units, self.bounds)
+        cube_a, cube_b = crop_cube(params[0::2]), crop_cube(params[1::2])
+        dist_norm = center_manhattan(cube_a, cube_b)[1]
+        return float(np.mean(st_iou(cube_a, cube_b))), float(np.mean(dist_norm))
 
     # -- augmentation ------------------------------------------------------
 
@@ -581,14 +582,14 @@ class _Trainer:
         if not (cfg.random_flip or cfg.pre_crop):
             return batch, grids.reshape((batch.shape[0], 2) + grids.shape[1:])
         sources = np.repeat(batch, 2, axis=0)
-        for row, clip in enumerate(sources):
-            if cfg.random_flip and self.flip_rng.random() < 0.5:
-                clip[...] = clip[..., ::-1].copy()
-            if cfg.pre_crop:
-                pre_params = clamp_params(self.precrop_rng.random(6), self.bounds)
-                matrix = build_affine_matrix(pre_params)[None]
-                grid = transform_grid(self.input_grid, matrix)[None]
-                clip[...] = resample(clip[None], grid)[0]
+        if cfg.random_flip:
+            flip = self.flip_rng.random(len(sources)) < 0.5
+            sources[flip] = sources[flip][..., ::-1]
+        if cfg.pre_crop:
+            units = self.precrop_rng.random((len(sources), 6))
+            matrices = build_affine_matrix(clamp_params(units, self.bounds))
+            pre_grids = transform_grid(self.input_grid, matrices)
+            sources = resample(sources, pre_grids[:, None])
         return sources, grids[:, None]
 
     # -- one optimisation step --------------------------------------------
@@ -596,25 +597,20 @@ class _Trainer:
     def step(self, index: int) -> tuple[MetricsRecord, float]:
         cfg = self.cfg
         n_pairs = cfg.batch_size
-        n_rows = 2 * n_pairs
         batch = make_synthetic_batch(self.data_rng, n_pairs, cfg.input_shape)
 
-        units: list[np.ndarray] = []
-        masks: list[np.ndarray] = []
-        mlp_caches: list[MlpCache] = []
-        for _ in range(n_pairs):
-            pair_units, (pair_masks, pair_caches) = self._draw_pair(index)
-            units.extend(pair_units)
-            if pair_masks is not None:
-                masks.extend(pair_masks)
-                mlp_caches.extend(pair_caches)
-        params = [clamp_params(unit, self.bounds) for unit in units]
-        grids = transform_grid(
-            self.crop_grid, np.stack([build_affine_matrix(p) for p in params])
-        )
+        if self.adversarial:
+            units, mlp_caches = self._generate(
+                [sample_noise(rng, n_pairs, cfg.noise_dim) for rng in self.noise_rngs]
+            )
+            masks = apply_early_stop(units, self.bounds.detach_bound)
+        else:
+            units = self._baseline(index, self.baseline_rng, n_pairs)
+        params = clamp_params(units, self.bounds)
+        grids = transform_grid(self.crop_grid, build_affine_matrix(params))
         # A detach band that masks every entry zeroes the whole cropper
         # gradient, so then no crop gradient is computed at all.
-        cropper_live = self.adversarial and any(m.any() for m in masks)
+        cropper_live = self.adversarial and bool(masks.any())
         if cropper_live:
             crops, jacobian = sample(*self._sources(batch, grids))
         else:
@@ -624,53 +620,41 @@ class _Trainer:
 
         iou_mean, raw_mean, norm_mean = np.nan, np.nan, np.nan
         if self.metrics_enabled:
-            ious, raws, norms = [], [], []
-            for k in range(n_pairs):
-                cube_a = crop_cube(params[2 * k])
-                cube_b = crop_cube(params[2 * k + 1])
-                self._assert_contained(cube_a, index)
-                self._assert_contained(cube_b, index)
-                ious.append(st_iou(cube_a, cube_b))
-                raw, norm = center_manhattan(cube_a, cube_b)
-                raws.append(raw)
-                norms.append(norm)
-            iou_mean = float(np.mean(ious))
-            raw_mean = float(np.mean(raws))
-            norm_mean = float(np.mean(norms))
+            cube_a, cube_b = crop_cube(params[0::2]), crop_cube(params[1::2])
+            self._assert_contained(cube_a, index)
+            self._assert_contained(cube_b, index)
+            raw, norm = center_manhattan(cube_a, cube_b)
+            iou_mean = float(np.mean(st_iou(cube_a, cube_b)))
+            raw_mean = float(np.mean(raw))
+            norm_mean = float(np.mean(norm))
 
         loss = nt_xent(embeddings, self.loss_cfg)
         if not np.isfinite(loss):
-            stacked = np.stack(units)
             raise TrainingError(
                 f"non-finite loss at step {index}; unit params "
-                f"mean={stacked.mean():.6g} min={stacked.min():.6g} "
-                f"max={stacked.max():.6g}"
+                f"mean={units.mean():.6g} min={units.min():.6g} "
+                f"max={units.max():.6g}"
             )
 
         grad_rows = nt_xent_backward(embeddings, self.loss_cfg)
         enc_grads, grad_crops = encode_backward(
             grad_rows, enc_cache, self.encoder, input_grad=cropper_live
         )
-        crop_acc = [
-            [np.zeros_like(self.croppers[b].w1), np.zeros_like(self.croppers[b].w2)]
-            for b in range(2)
-        ] if self.adversarial else None
         if cropper_live:
             grad_coords = sample_backward(grad_crops, jacobian)
-            grad_params = transform_grid_backward(
-                grad_coords, self.crop_grid, params
-            )
-            for row in range(n_rows):
-                branch = row % 2
-                grad_unit = clamp_params_backward(
-                    grad_params[row], units[row], self.bounds, masks[row]
-                )
-                grad_unit = reverse_gradient(grad_unit)
-                gw1, gw2 = mlp_backward(
-                    grad_unit, mlp_caches[row], self.croppers[branch]
-                )
-                crop_acc[branch][0] += gw1
-                crop_acc[branch][1] += gw2
+            grad_params = transform_grid_backward(grad_coords, self.crop_grid, params)
+            grad_units = reverse_gradient(
+                clamp_params_backward(grad_params, units, self.bounds, masks)
+            ).reshape(n_pairs, 2, 6)
+            crop_grads = [
+                mlp_backward(grad_units[:, branch], mlp_caches[branch], state)
+                for branch, state in enumerate(self.croppers)
+            ]
+        elif self.adversarial:
+            crop_grads = [
+                (np.zeros_like(state.w1), np.zeros_like(state.w2))
+                for state in self.croppers
+            ]
 
         updated = self.enc_opt.step(
             {
@@ -692,8 +676,7 @@ class _Trainer:
 
         grad_max = 0.0
         if self.adversarial:
-            for branch in range(2):
-                gw1, gw2 = crop_acc[branch]
+            for branch, (gw1, gw2) in enumerate(crop_grads):
                 grad_max = max(
                     grad_max,
                     float(np.max(np.abs(gw1))) if gw1.size else 0.0,
@@ -710,14 +693,14 @@ class _Trainer:
             iou=iou_mean,
             dist_raw=raw_mean,
             dist_norm=norm_mean,
-            unit_mean=np.stack(units).mean(axis=0),
+            unit_mean=units.mean(axis=0),
         )
         return record, grad_max
 
     @staticmethod
     def _assert_contained(cube: CropCube, step: int) -> None:
         iv = cube.intervals
-        if np.any(iv[:, 0] < -1.0) or np.any(iv[:, 1] > 1.0):
+        if np.any(iv[..., 0] < -1.0) or np.any(iv[..., 1] > 1.0):
             raise TrainingError(
                 f"crop cube escaped the clip volume at step {step}: {iv.tolist()}"
             )

@@ -134,8 +134,8 @@ def test_04_containment_ten_thousand_draws():
     rng = np.random.default_rng(0)
     violations = 0
     for _ in range(10_000):
-        params = clamp_params(rng.random(6), bounds)
-        coords = transform_grid(crop_grid, build_affine_matrix(params)[None])
+        params = clamp_params(rng.random((1, 6)), bounds)
+        coords = transform_grid(crop_grid, build_affine_matrix(params))
         if np.any(coords < -1.0) or np.any(coords > 1.0):
             violations += 1
     assert violations == 0
@@ -230,7 +230,7 @@ def test_08_iou_against_monte_carlo():
 
     def membership_iou(a, b) -> float:
         def inside(c):
-            iv = c.intervals
+            iv = c.intervals[0]
             return np.all((points >= iv[:, 0]) & (points <= iv[:, 1]), axis=1)
 
         in_a, in_b = inside(a), inside(b)
@@ -238,14 +238,14 @@ def test_08_iou_against_monte_carlo():
         return np.count_nonzero(in_a & in_b) / either if either else 0.0
 
     for _ in range(100):
-        a = crop_cube(clamp_params(rng.random(6), bounds))
-        b = crop_cube(clamp_params(rng.random(6), bounds))
-        assert abs(st_iou(a, b) - membership_iou(a, b)) < 0.01
+        a = crop_cube(clamp_params(rng.random((1, 6)), bounds))
+        b = crop_cube(clamp_params(rng.random((1, 6)), bounds))
+        assert abs(st_iou(a, b)[0] - membership_iou(a, b)) < 0.01
 
     # Hand case: half-extent-0.5 cubes offset by 0.5 along one axis.
-    base = CropCube(center=np.zeros(3), half=np.full(3, 0.5))
-    shifted = CropCube(center=np.array([0.5, 0.0, 0.0]), half=np.full(3, 0.5))
-    assert abs(st_iou(base, shifted) - 1.0 / 3.0) <= 1e-12
+    base = CropCube(center=np.zeros((1, 3)), half=np.full((1, 3), 0.5))
+    shifted = CropCube(center=np.array([[0.5, 0.0, 0.0]]), half=np.full((1, 3), 0.5))
+    assert abs(st_iou(base, shifted)[0] - 1.0 / 3.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from paramcrop.affine import (
+    ANGLE,
     OFFSET_T,
     OFFSET_X,
     SPATIAL_SCALE,
     TEMPORAL_SCALE,
-    AffineParams,
     ParamBounds,
     apply_early_stop,
     build_affine_matrix,
@@ -21,6 +21,11 @@ from paramcrop.affine import (
     transform_grid_backward,
 )
 from paramcrop.errors import ConfigError, DimensionError
+
+
+def params_row(sp, st, angle, dx, dy, dt) -> np.ndarray:
+    """One crop's physical params as a (1, 6) row."""
+    return np.array([[sp, st, angle, dx, dy, dt]])
 
 
 def default_bounds(**overrides) -> ParamBounds:
@@ -46,6 +51,13 @@ class TestParamBounds:
             default_bounds(detach_bound=0.6)
         with pytest.raises(ConfigError):
             default_bounds(detach_bound=-0.1)
+        # (2 * 1e-300)^2 * 2 underflows to 0, so no overlap could be computed.
+        with pytest.raises(ConfigError, match="underflows"):
+            default_bounds(spatial_scale_range=(1e-300, 1.0))
+        with pytest.raises(ConfigError, match="underflows"):
+            default_bounds(spatial_scale_range=(1e-160, 1.0),
+                           temporal_scale_range=(1e-10, 1.0))
+        default_bounds(spatial_scale_range=(1e-6, 1.0))
 
     def test_offset_bounds_shrink_with_scale(self):
         (slo, shi), (tlo, thi) = default_bounds().offset_bounds(0.75, 0.6)
@@ -58,32 +70,34 @@ class TestParamBounds:
 
 class TestEarlyStop:
     def test_all_pass_at_zero_bound(self):
-        v = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.999])
-        _, mask = apply_early_stop(v, 0.0)
+        v = np.array([[0.0, 0.25, 0.5, 0.75, 1.0, 0.999]])
+        mask = apply_early_stop(v, 0.0)
         assert mask.all()
 
     def test_all_stop_at_half_bound(self):
         """b = 0.5 admits only v exactly 0.5; generic values all stop."""
         rng = np.random.default_rng(42)
         for _ in range(50):
-            _, mask = apply_early_stop(rng.uniform(0.0, 1.0, size=6), 0.5)
+            mask = apply_early_stop(rng.uniform(0.0, 1.0, size=(1, 6)), 0.5)
             assert not mask.any()
-        _, mask = apply_early_stop(np.full(6, 0.5), 0.5)
+        mask = apply_early_stop(np.full((1, 6), 0.5), 0.5)
         assert mask.all()
 
     def test_band_edges_inclusive(self):
         # |v - 0.5| <= 0.5 - b keeps the gradient alive at exact equality.
         # 0.25 / 0.75 are exactly representable, so the comparison is sharp.
         b = 0.25
-        v = np.array([0.25, 0.75, 0.25 - 1e-9, 0.75 + 1e-9, 0.5, 0.5])
-        _, mask = apply_early_stop(v, b)
-        np.testing.assert_array_equal(mask, [True, True, False, False,
-                                             True, True])
+        v = np.array([[0.25, 0.75, 0.25 - 1e-9, 0.75 + 1e-9, 0.5, 0.5]])
+        mask = apply_early_stop(v, b)
+        np.testing.assert_array_equal(mask, [[True, True, False, False,
+                                              True, True]])
 
     def test_values_pass_through_unchanged(self):
-        v = np.array([0.01, 0.5, 0.99, 0.2, 0.8, 0.45])
-        out, _ = apply_early_stop(v, 0.3)
-        np.testing.assert_array_equal(out, v)
+        v = np.array([[0.01, 0.5, 0.99, 0.2, 0.8, 0.45]])
+        saved = v.copy()
+        mask = apply_early_stop(v, 0.3)
+        assert mask.shape == v.shape
+        np.testing.assert_array_equal(v, saved)
 
     def test_stop_fraction_grows_with_bound(self):
         """Monte-Carlo check: stopped fraction ~ 2b for uniform draws."""
@@ -92,7 +106,7 @@ class TestEarlyStop:
             kept = 0
             draws = 8000
             for _ in range(draws):
-                _, mask = apply_early_stop(rng.uniform(0.0, 1.0, size=6), b)
+                mask = apply_early_stop(rng.uniform(0.0, 1.0, size=(1, 6)), b)
                 kept += int(mask.sum())
             stopped = 1.0 - kept / (6 * draws)
             assert abs(stopped - 2.0 * b) < 0.01
@@ -101,22 +115,22 @@ class TestEarlyStop:
 class TestClampParams:
     def test_interval_endpoints(self):
         bounds = default_bounds()
-        p0 = clamp_params(np.zeros(6), bounds)
-        p1 = clamp_params(np.ones(6), bounds)
-        assert p0.spatial_scale == 0.5 and p1.spatial_scale == 1.0
-        assert p0.temporal_scale == 0.5 and p1.temporal_scale == 1.0
-        assert p0.angle == 0.0 and p1.angle == 0.0
+        (sp0, st0, an0, dx0, _, dt0), = clamp_params(np.zeros((1, 6)), bounds)
+        (sp1, st1, an1, dx1, _, dt1), = clamp_params(np.ones((1, 6)), bounds)
+        assert sp0 == 0.5 and sp1 == 1.0
+        assert st0 == 0.5 and st1 == 1.0
+        assert an0 == 0.0 and an1 == 0.0
         # At v=0 every scale sits at 0.5, so offsets span [-0.5, 0.5].
-        assert p0.dx == -0.5 and p0.dt == -0.5
+        assert dx0 == -0.5 and dt0 == -0.5
         # At v=1 scales hit 1.0 and the offset interval collapses to zero.
-        assert p1.dx == 0.0 and p1.dt == 0.0
+        assert dx1 == 0.0 and dt1 == 0.0
 
     def test_midpoint(self):
-        p = clamp_params(np.full(6, 0.5), default_bounds())
-        assert p.spatial_scale == pytest.approx(0.75)
-        assert p.dx == pytest.approx(0.0)
-        assert p.dy == pytest.approx(0.0)
-        assert p.dt == pytest.approx(0.0)
+        (sp, _, _, dx, dy, dt), = clamp_params(np.full((1, 6), 0.5), default_bounds())
+        assert sp == pytest.approx(0.75)
+        assert dx == pytest.approx(0.0)
+        assert dy == pytest.approx(0.0)
+        assert dt == pytest.approx(0.0)
 
     def test_containment_arithmetic(self):
         """Mapped offsets always satisfy |offset| <= 1 - scale."""
@@ -124,19 +138,20 @@ class TestClampParams:
         bounds = default_bounds(spatial_scale_range=(0.25, 1.0),
                                 temporal_scale_range=(0.4, 0.9))
         for _ in range(500):
-            p = clamp_params(rng.uniform(0.0, 1.0, size=6), bounds)
-            assert abs(p.dx) <= 1.0 - p.spatial_scale + 1e-15
-            assert abs(p.dy) <= 1.0 - p.spatial_scale + 1e-15
-            assert abs(p.dt) <= 1.0 - p.temporal_scale + 1e-15
+            v = rng.uniform(0.0, 1.0, size=(1, 6))
+            (sp, st, _, dx, dy, dt), = clamp_params(v, bounds)
+            assert abs(dx) <= 1.0 - sp + 1e-15
+            assert abs(dy) <= 1.0 - sp + 1e-15
+            assert abs(dt) <= 1.0 - st + 1e-15
 
     def test_angle_mapping(self):
         bounds = default_bounds(angle_range=(-0.5, 0.5))
-        assert clamp_params(np.zeros(6), bounds).angle == -0.5
-        assert clamp_params(np.ones(6), bounds).angle == 0.5
+        assert clamp_params(np.zeros((1, 6)), bounds)[0, ANGLE] == -0.5
+        assert clamp_params(np.ones((1, 6)), bounds)[0, ANGLE] == 0.5
 
     def test_input_shape_checked(self):
         with pytest.raises(DimensionError):
-            clamp_params(np.zeros(5), default_bounds())
+            clamp_params(np.zeros((1, 5)), default_bounds())
 
 
 class TestClampBackward:
@@ -147,57 +162,56 @@ class TestClampBackward:
                                 angle_range=(-0.2, 0.7))
         h = 1e-7
         for _ in range(25):
-            v = rng.uniform(0.05, 0.95, size=6)
-            upstream = rng.normal(size=6)
+            v = rng.uniform(0.05, 0.95, size=(1, 6))
+            upstream = rng.normal(size=(1, 6))
 
             def scalar(vv: np.ndarray) -> float:
-                return float(np.dot(upstream, clamp_params(vv, bounds).as_vector()))
+                return float(np.vdot(upstream, clamp_params(vv, bounds)))
 
-            grad = clamp_params_backward(upstream, v, bounds, np.ones(6))
+            grad = clamp_params_backward(upstream, v, bounds, np.ones((1, 6)))
             for i in range(6):
-                e = np.zeros(6)
-                e[i] = h
+                e = np.zeros((1, 6))
+                e[0, i] = h
                 fd = (scalar(v + e) - scalar(v - e)) / (2.0 * h)
-                assert grad[i] == pytest.approx(fd, abs=5e-7), f"param {i}"
+                assert grad[0, i] == pytest.approx(fd, abs=5e-7), f"param {i}"
 
     def test_mask_zeroes_components(self):
         rng = np.random.default_rng(7)
-        v = rng.uniform(0.2, 0.8, size=6)
-        upstream = rng.normal(size=6)
-        mask = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        v = rng.uniform(0.2, 0.8, size=(1, 6))
+        upstream = rng.normal(size=(1, 6))
+        mask = np.array([[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
         grad = clamp_params_backward(upstream, v, default_bounds(), mask)
-        assert grad[TEMPORAL_SCALE] == 0.0
-        assert grad[OFFSET_X] == 0.0
-        assert grad[OFFSET_T] == 0.0
-        assert grad[SPATIAL_SCALE] != 0.0
+        assert grad[0, TEMPORAL_SCALE] == 0.0
+        assert grad[0, OFFSET_X] == 0.0
+        assert grad[0, OFFSET_T] == 0.0
+        assert grad[0, SPATIAL_SCALE] != 0.0
 
     def test_scale_gradient_includes_offset_coupling(self):
         """Spatial scale widens/narrows the offset interval, so offset
         upstream gradients must flow back into the scale component."""
-        v = np.full(6, 0.5)
-        upstream = np.zeros(6)
-        upstream[OFFSET_X] = 1.0
-        grad = clamp_params_backward(upstream, v, default_bounds(), np.ones(6))
+        v = np.full((1, 6), 0.5)
+        upstream = np.zeros((1, 6))
+        upstream[0, OFFSET_X] = 1.0
+        grad = clamp_params_backward(upstream, v, default_bounds(), np.ones((1, 6)))
         # dx = (1 - s)(2 v_x - 1); at v_x = 0.5 the direct term is 0
         # but d dx/d s = -(2 v_x - 1) = 0 there too; move v_x off-center.
-        assert grad[SPATIAL_SCALE] == 0.0
+        assert grad[0, SPATIAL_SCALE] == 0.0
         v2 = v.copy()
-        v2[OFFSET_X] = 0.75
-        grad2 = clamp_params_backward(upstream, v2, default_bounds(), np.ones(6))
+        v2[0, OFFSET_X] = 0.75
+        grad2 = clamp_params_backward(upstream, v2, default_bounds(), np.ones((1, 6)))
         # ds/dv0 = 0.5, d offset/ds = -(2*0.75 - 1) = -0.5 -> -0.25
-        assert grad2[SPATIAL_SCALE] == pytest.approx(-0.25)
+        assert grad2[0, SPATIAL_SCALE] == pytest.approx(-0.25)
 
 
 class TestAffineMatrix:
     def test_identity_parameters(self):
-        p = AffineParams(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        np.testing.assert_allclose(build_affine_matrix(p),
+        p = params_row(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        np.testing.assert_allclose(build_affine_matrix(p)[0],
                                    np.eye(3, 4), atol=0.0)
 
     def test_known_entries(self):
-        p = AffineParams(spatial_scale=0.5, temporal_scale=0.75, angle=np.pi / 2,
-                         dx=0.1, dy=-0.2, dt=0.3)
-        m = build_affine_matrix(p)
+        p = params_row(sp=0.5, st=0.75, angle=np.pi / 2, dx=0.1, dy=-0.2, dt=0.3)
+        m = build_affine_matrix(p)[0]
         c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
         expected = np.array([
             [0.5 * c, -s, 0.0, 0.1],
@@ -208,8 +222,8 @@ class TestAffineMatrix:
 
     def test_rotation_column_is_not_scaled(self):
         """The sine entries are pure rotation; only cosines carry scale."""
-        p = AffineParams(0.5, 1.0, 0.3, 0.0, 0.0, 0.0)
-        m = build_affine_matrix(p)
+        p = params_row(0.5, 1.0, 0.3, 0.0, 0.0, 0.0)
+        m = build_affine_matrix(p)[0]
         assert m[0, 1] == pytest.approx(-np.sin(0.3))
         assert m[1, 0] == pytest.approx(np.sin(0.3))
         assert m[0, 0] == pytest.approx(0.5 * np.cos(0.3))
@@ -244,24 +258,24 @@ class TestGrid:
 class TestTransformGrid:
     def test_identity(self):
         g = generate_grid(3, 4, 5)
-        p = AffineParams(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        np.testing.assert_allclose(transform_grid(g, build_affine_matrix(p)[None])[0],
+        p = params_row(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        np.testing.assert_allclose(transform_grid(g, build_affine_matrix(p))[0],
                                    g, atol=1e-15)
 
     def test_pure_translation(self):
         g = generate_grid(2, 2, 2)
-        p = AffineParams(1.0, 1.0, 0.0, 0.25, -0.5, 0.125)
-        out = transform_grid(g, build_affine_matrix(p)[None])[0]
+        p = params_row(1.0, 1.0, 0.0, 0.25, -0.5, 0.125)
+        out = transform_grid(g, build_affine_matrix(p))[0]
         np.testing.assert_allclose(out[..., 0], g[..., 0] + 0.25, atol=1e-15)
         np.testing.assert_allclose(out[..., 1], g[..., 1] - 0.5, atol=1e-15)
         np.testing.assert_allclose(out[..., 2], g[..., 2] + 0.125, atol=1e-15)
 
     def test_pointwise_against_manual_formula(self):
         rng = np.random.default_rng(42)
-        p = AffineParams(0.6, 0.8, 0.4, 0.1, -0.1, 0.05)
+        p = params_row(0.6, 0.8, 0.4, 0.1, -0.1, 0.05)
         m = build_affine_matrix(p)
         g = rng.uniform(-1.0, 1.0, size=(4, 3))
-        out = transform_grid(g, m[None])[0]
+        out = transform_grid(g, m)[0]
         for i in range(4):
             x, y, t = g[i]
             assert out[i, 0] == pytest.approx(
@@ -274,18 +288,17 @@ class TestTransformGrid:
         rng = np.random.default_rng(42)
         g = rng.uniform(-1.0, 1.0, size=(3, 4, 2, 3))
         upstream = rng.normal(size=g.shape)
-        base = AffineParams(0.7, 0.6, 0.35, 0.05, -0.15, 0.2)
+        base = params_row(0.7, 0.6, 0.35, 0.05, -0.15, 0.2)
         h = 1e-7
 
         def scalar(vec: np.ndarray) -> float:
-            p = AffineParams(*vec)
-            matrix = build_affine_matrix(p)[None]
+            matrix = build_affine_matrix(vec[None])
             return float(np.sum(upstream * transform_grid(g, matrix)[0]))
 
-        grad = transform_grid_backward(upstream[None], g, [base])
+        grad = transform_grid_backward(upstream[None], g, base)
         assert grad.shape == (1, 6)
         grad = grad[0]
-        vec0 = base.as_vector()
+        vec0 = base[0]
         for i in range(6):
             e = np.zeros(6)
             e[i] = h

@@ -1,5 +1,8 @@
 """Batch-first layers: R rows in one call match R calls with a leading axis of 1.
 
+Weight gradients (encoder, generator MLP) are summed over the rows, so there
+the R-row call matches the sum of the one-row calls.
+
 Also checks the masked-step shortcut of the training step: with a detach band
 of 0.5 every cropper gradient is masked, and the cropper weights must come out
 of a run bit-identical to their initial values.
@@ -13,16 +16,27 @@ import numpy as np
 import pytest
 
 from paramcrop.affine import (
-    AffineParams,
+    ParamBounds,
+    apply_early_stop,
     build_affine_matrix,
+    clamp_params,
+    clamp_params_backward,
     generate_grid,
     transform_grid,
     transform_grid_backward,
 )
 from paramcrop.contrastive import ToyEncoder, encode, encode_backward
 from paramcrop.errors import DimensionError
+from paramcrop.paramgen import CropperState, mlp_backward, mlp_forward
 from paramcrop.sampler import sample, sample_backward
-from paramcrop.simulator import TrainConfig, _Trainer, run_training
+from paramcrop.simulator import (
+    CropCube,
+    TrainConfig,
+    _Trainer,
+    center_manhattan,
+    run_training,
+    st_iou,
+)
 
 ROWS = 4
 
@@ -37,6 +51,102 @@ def assert_close(actual: np.ndarray, expected: np.ndarray) -> None:
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+BOUNDS = ParamBounds(
+    spatial_scale_range=(0.3, 0.9),
+    temporal_scale_range=(0.4, 0.95),
+    angle_range=(-0.5, 0.5),
+    detach_bound=0.2,
+)
+
+
+def random_params(rng: np.random.Generator) -> np.ndarray:
+    """(ROWS, 6) physical crop params with non-trivial angles."""
+    return rng.uniform([0.4, 0.4, -0.7, -0.3, -0.3, -0.3],
+                       [0.9, 0.9, 0.7, 0.3, 0.3, 0.3], size=(ROWS, 6))
+
+
+class TestParamMapping:
+    def test_clamp_rows_match_single_calls(self, rng):
+        units = rng.random((ROWS, 6))
+        params = clamp_params(units, BOUNDS)
+        assert params.shape == (ROWS, 6)
+        for r in range(ROWS):
+            assert_close(params[r], clamp_params(units[r:r + 1], BOUNDS)[0])
+
+    def test_clamp_backward_rows_match_single_calls(self, rng):
+        units = rng.random((ROWS, 6))
+        upstream = rng.normal(size=(ROWS, 6))
+        mask = apply_early_stop(units, BOUNDS.detach_bound)
+        grads = clamp_params_backward(upstream, units, BOUNDS, mask)
+        assert grads.shape == (ROWS, 6)
+        for r in range(ROWS):
+            one = clamp_params_backward(
+                upstream[r:r + 1], units[r:r + 1], BOUNDS, mask[r:r + 1]
+            )
+            assert_close(grads[r], one[0])
+
+    def test_clamp_backward_shapes_checked(self, rng):
+        units = rng.random((ROWS, 6))
+        with pytest.raises(DimensionError):
+            clamp_params_backward(np.zeros((ROWS, 6)), units, BOUNDS,
+                                  np.ones((ROWS - 1, 6), dtype=bool))
+
+    def test_early_stop_rows_match_single_calls(self, rng):
+        units = rng.random((ROWS, 6))
+        mask = apply_early_stop(units, 0.3)
+        assert mask.shape == (ROWS, 6) and mask.dtype == bool
+        for r in range(ROWS):
+            one = apply_early_stop(units[r:r + 1], 0.3)
+            np.testing.assert_array_equal(mask[r], one[0])
+
+    def test_affine_matrix_rows_match_single_calls(self, rng):
+        params = random_params(rng)
+        matrices = build_affine_matrix(params)
+        assert matrices.shape == (ROWS, 3, 4)
+        for r in range(ROWS):
+            assert_close(matrices[r], build_affine_matrix(params[r:r + 1])[0])
+
+
+class TestGenerator:
+    def test_forward_and_backward_rows_match_single_calls(self, rng):
+        state = CropperState.initialise(rng, noise_dim=5, hidden_dim=7, init_scale=0.5)
+        noise = rng.random((ROWS, 5))
+        upstream = rng.normal(size=(ROWS, 6))
+        unit, cache = mlp_forward(noise, state)
+        grad_w1, grad_w2 = mlp_backward(upstream, cache, state)
+        assert unit.shape == (ROWS, 6)
+        sum_w1, sum_w2 = np.zeros_like(state.w1), np.zeros_like(state.w2)
+        for r in range(ROWS):
+            one_unit, one_cache = mlp_forward(noise[r:r + 1], state)
+            assert_close(unit[r], one_unit[0])
+            one_w1, one_w2 = mlp_backward(upstream[r:r + 1], one_cache, state)
+            sum_w1 += one_w1
+            sum_w2 += one_w2
+        # Weight gradients are summed over the rows.
+        assert_close(grad_w1, sum_w1)
+        assert_close(grad_w2, sum_w2)
+
+
+class TestCropMetrics:
+    def cubes(self, rng: np.random.Generator) -> tuple[CropCube, CropCube]:
+        half = rng.uniform(0.2, 0.9, size=(2, ROWS, 3))
+        center = rng.uniform(-0.4, 0.4, size=(2, ROWS, 3))
+        return CropCube(center[0], half[0]), CropCube(center[1], half[1])
+
+    def test_rows_match_single_calls(self, rng):
+        a, b = self.cubes(rng)
+        iou = st_iou(a, b)
+        raw, norm = center_manhattan(a, b)
+        assert iou.shape == raw.shape == norm.shape == (ROWS,)
+        for r in range(ROWS):
+            one_a = CropCube(a.center[r:r + 1], a.half[r:r + 1])
+            one_b = CropCube(b.center[r:r + 1], b.half[r:r + 1])
+            assert_close(iou[r], st_iou(one_a, one_b)[0])
+            one_raw, one_norm = center_manhattan(one_a, one_b)
+            assert_close(raw[r], one_raw[0])
+            assert_close(norm[r], one_norm[0])
 
 
 class TestSampler:
@@ -66,12 +176,8 @@ class TestSampler:
 class TestGridTransform:
     def test_rows_match_single_calls(self, rng):
         grid = generate_grid(3, 4, 5)
-        params = [
-            AffineParams(*rng.uniform([0.4, 0.4, -0.7, -0.3, -0.3, -0.3],
-                                      [0.9, 0.9, 0.7, 0.3, 0.3, 0.3]))
-            for _ in range(ROWS)
-        ]
-        matrices = np.stack([build_affine_matrix(p) for p in params])
+        params = random_params(rng)
+        matrices = build_affine_matrix(params)
         upstream = rng.normal(size=(ROWS,) + grid.shape)
         coords = transform_grid(grid, matrices)
         grads = transform_grid_backward(upstream, grid, params)

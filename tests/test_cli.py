@@ -9,13 +9,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paramcrop.cli import main, render_svg
 from paramcrop.errors import ConfigError
 from paramcrop.kv import format_kv, parse_kv
-from paramcrop.simulator import CSV_HEADER, MetricsRecord, TrainConfig
+from paramcrop.simulator import CSV_HEADER, STRATEGIES, MetricsRecord, TrainConfig
 
 FLOAT_FIELDS = [
     name for name, value in vars(TrainConfig()).items() if isinstance(value, float)
@@ -162,6 +162,18 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "s"), "--bounds", "0.9"])
         assert code == 2
 
+    def test_underflowing_crop_volume_exits_2(self, tmp_path):
+        # (2 * 1e-300)^2 underflows to 0, so the overlap metrics would
+        # divide 0 by 0.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            "strategy = hard\nspatial_scale_min = 1e-300\n"
+            "input_shape = 1x4x6x6\ncrop_shape = 3x3x3\nbatch_size = 2\n"
+        )
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+
     def test_negative_seed_exits_2(self, tmp_path, config_path):
         code = main(["train", "--config", str(config_path), "--seed", "-1",
                      "--out", str(tmp_path / "run")])
@@ -261,8 +273,45 @@ _config_values = st.one_of(
 )
 
 
+def _texts(*values) -> st.SearchStrategy[str]:
+    return st.sampled_from([str(v) for v in values])
+
+
+# Configs that pass or fail validation at the edges of each range, on shapes
+# small enough that a one- or two-step run costs milliseconds.
+_EDGE_CONFIGS = st.fixed_dictionaries(
+    {
+        "steps": _texts(1, 2),
+        "batch_size": _texts(1, 2),
+        "input_shape": _texts("1x4x6x6", "2x3x5x4"),
+        "crop_shape": _texts("3x3x3"),
+        "noise_dim": _texts(1, 3),
+        "hidden_dim": _texts(1, 3),
+        "embed_dim": _texts(1, 3),
+        "conv_channels": _texts(1, 2),
+        "probe_samples": _texts(1, 3),
+    },
+    optional={
+        "strategy": st.sampled_from(STRATEGIES),
+        "spatial_scale_min": _texts(5e-324, 1e-300, 1e-160, 1e-12, 0.5, 1.0),
+        "spatial_scale_max": _texts(1e-300, 0.5, 1.0),
+        "temporal_scale_min": _texts(5e-324, 1e-300, 1e-12, 0.5, 1.0),
+        "temporal_scale_max": _texts(1e-12, 1.0),
+        "angle_min": _texts(-3.2, -0.5, 0.0),
+        "angle_max": _texts(0.0, 0.5, 3.2),
+        "detach_bound": _texts(0.0, 0.5),
+        "random_flip": _texts("true", "false"),
+        "pre_crop": _texts("true", "false"),
+        "baseline_jitter": _texts(0.0, 0.5),
+        "manual_breakpoint": _texts(0.0, 0.999),
+        "cropper_lr": _texts(0.05, 1e300),
+        "temperature": _texts(1e-300, 0.1),
+    },
+)
+
+
 class TestConfigProperty:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(pairs=st.dictionaries(
         st.one_of(st.sampled_from(_CONFIG_KEYS), st.text(min_size=1)),
         _config_values, max_size=8,
@@ -271,6 +320,20 @@ class TestConfigProperty:
         path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
         path.write_text(format_kv(pairs), encoding="utf-8")
         assert main(["train", "--config", str(path), "--print-config"]) in (0, 2)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(pairs=_EDGE_CONFIGS)
+    @example(pairs={
+        "strategy": "hard", "spatial_scale_min": "1e-300", "steps": "2",
+        "input_shape": "1x4x6x6", "crop_shape": "3x3x3", "batch_size": "2",
+    })
+    def test_edge_config_runs_exit_0_2_or_3(self, tmp_path_factory, pairs):
+        base = tmp_path_factory.getbasetemp()
+        path = base / "edge.cfg"
+        path.write_text(format_kv(pairs), encoding="utf-8")
+        # An exception escaping main would reach the user as a traceback.
+        code = main(["train", "--config", str(path), "--out", str(base / "edge")])
+        assert code in (0, 2, 3)
 
 
 class TestSvg:

@@ -1,4 +1,8 @@
-"""Tests for the crop-parameter generator and its optimiser."""
+"""Tests for the crop-parameter generator and its optimiser.
+
+``TestElementwise`` covers the elementwise steps of the generator forward:
+its relu, its overflow-safe sigmoid and the finiteness guard on its result.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ from paramcrop.errors import ConfigError, NumericsError, TrainingError
 from paramcrop.paramgen import (
     CropperState,
     SgdMomentum,
+    _stable_sigmoid,
     mlp_backward,
     mlp_forward,
     reverse_gradient,
@@ -46,11 +51,11 @@ class TestState:
 class TestForward:
     def test_output_shape_and_range(self, state):
         rng = np.random.default_rng(1)
-        noise = sample_noise(rng, state.noise_dim)
-        assert noise.shape == (5,)
+        noise = sample_noise(rng, 1, state.noise_dim)
+        assert noise.shape == (1, 5)
         assert np.all((noise >= 0.0) & (noise < 1.0))
         unit, cache = mlp_forward(noise, state)
-        assert unit.shape == (6,)
+        assert unit.shape == (1, 6)
         assert np.all((unit > 0.0) & (unit < 1.0))
         np.testing.assert_array_equal(cache.noise, noise)
         np.testing.assert_array_equal(cache.hidden,
@@ -58,17 +63,17 @@ class TestForward:
 
     def test_matches_manual_composition(self, state):
         rng = np.random.default_rng(2)
-        noise = sample_noise(rng, state.noise_dim)
+        noise = sample_noise(rng, 1, state.noise_dim)
         unit, _ = mlp_forward(noise, state)
-        hidden = np.maximum(state.w1 @ noise, 0.0)
+        hidden = np.maximum(state.w1 @ noise[0], 0.0)
         expected = 1.0 / (1.0 + np.exp(-(state.w2 @ hidden)))
-        np.testing.assert_allclose(unit, expected, atol=1e-15)
+        np.testing.assert_allclose(unit[0], expected, atol=1e-15)
 
     def test_near_zero_init_gives_centered_outputs(self):
         rng = np.random.default_rng(3)
         s = CropperState.initialise(rng, init_scale=0.01)
-        unit, _ = mlp_forward(sample_noise(rng, s.noise_dim), s)
-        np.testing.assert_allclose(unit, np.full(6, 0.5), atol=0.01)
+        unit, _ = mlp_forward(sample_noise(rng, 1, s.noise_dim), s)
+        np.testing.assert_allclose(unit, np.full((1, 6), 0.5), atol=0.01)
 
     def test_non_finite_output_raises(self):
         # The hidden layer stays finite (1e200 each), but every mixed-sign
@@ -78,14 +83,42 @@ class TestForward:
         s = CropperState(w1=w1, w2=w2, bounds=ParamBounds())
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericsError):
-            mlp_forward(np.ones(3), s)
+            mlp_forward(np.ones((1, 3)), s)
+
+
+class TestElementwise:
+    def test_sigmoid_midpoint_and_symmetry(self):
+        assert _stable_sigmoid(np.array([0.0]))[0] == 0.5
+        x = np.linspace(-30.0, 30.0, 101)
+        s = _stable_sigmoid(x)
+        np.testing.assert_allclose(s + s[::-1], np.ones_like(x), atol=1e-15)
+        assert np.all((s > 0.0) & (s < 1.0))
+
+    def test_sigmoid_extreme_inputs_stay_finite(self):
+        s = _stable_sigmoid(np.array([-1e4, 1e4]))
+        np.testing.assert_array_equal(s, [0.0, 1.0])
+
+    def test_relu(self):
+        # Identity first layer, so the hidden pre-activation is the noise.
+        s = CropperState(w1=np.eye(3), w2=np.zeros((6, 3)), bounds=ParamBounds())
+        _, cache = mlp_forward(np.array([[-1.0, 0.0, 2.5]]), s)
+        np.testing.assert_array_equal(cache.hidden[0], [0.0, 0.0, 2.5])
+
+    def test_non_finite_result_rejected(self):
+        # The hidden layer overflows to inf, which the sigmoid alone would
+        # turn into a finite 1.
+        w1 = np.full((4, 3), 1e308)
+        w2 = np.full((6, 4), 1e200)
+        s = CropperState(w1=w1, w2=w2, bounds=ParamBounds())
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            mlp_forward(np.ones((1, 3)), s)
 
 
 class TestBackward:
     def test_matches_finite_differences(self, state):
         rng = np.random.default_rng(4)
-        noise = sample_noise(rng, state.noise_dim)
-        upstream = rng.normal(size=6)
+        noise = sample_noise(rng, 1, state.noise_dim)
+        upstream = rng.normal(size=(1, 6))
         _, cache = mlp_forward(noise, state)
         grad_w1, grad_w2 = mlp_backward(upstream, cache, state)
         assert grad_w1.shape == state.w1.shape
@@ -96,7 +129,7 @@ class TestBackward:
         def loss(w1: np.ndarray, w2: np.ndarray) -> float:
             s = CropperState(w1=w1, w2=w2, bounds=state.bounds)
             unit, _ = mlp_forward(noise, s)
-            return float(np.dot(upstream, unit))
+            return float(np.vdot(upstream, unit))
 
         for grad, which in ((grad_w1, "w1"), (grad_w2, "w2")):
             w = getattr(state, which)
@@ -115,11 +148,11 @@ class TestBackward:
                 assert grad[i, j] == pytest.approx(fd, abs=1e-7), (which, i, j)
 
     def test_dead_relu_units_get_zero_gradient(self, state):
-        noise = np.ones(state.noise_dim)
+        noise = np.ones((1, state.noise_dim))
         _, cache = mlp_forward(noise, state)
-        dead = cache.hidden_pre <= 0.0
+        dead = cache.hidden_pre[0] <= 0.0
         assert dead.any(), "fixture should produce at least one inactive unit"
-        grad_w1, _ = mlp_backward(np.ones(6), cache, state)
+        grad_w1, _ = mlp_backward(np.ones((1, 6)), cache, state)
         np.testing.assert_array_equal(grad_w1[dead], 0.0)
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from paramcrop.affine import AffineParams, clamp_params
+from paramcrop.affine import clamp_params
 from paramcrop.errors import ConfigError, UnsupportedMetricError
 from paramcrop.simulator import (
     CSV_HEADER,
@@ -27,14 +27,20 @@ from paramcrop.simulator import (
 
 
 def cube(cx, cy, ct, hx, hy, ht) -> CropCube:
-    return CropCube(center=np.array([cx, cy, ct]),
-                    half=np.array([hx, hy, ht]))
+    """One cube, as a leading axis of 1."""
+    return CropCube(center=np.array([[cx, cy, ct]]),
+                    half=np.array([[hx, hy, ht]]))
+
+
+def one_cube(unit: np.ndarray, bounds) -> CropCube:
+    """Cube of a single (6,) unit-param draw."""
+    return crop_cube(clamp_params(unit[None], bounds))
 
 
 def mc_iou(a: CropCube, b: CropCube, points: np.ndarray) -> float:
     """Monte-Carlo membership oracle over a shared point cloud in [-1,1]^3."""
     def inside(c: CropCube) -> np.ndarray:
-        iv = c.intervals
+        iv = c.intervals[0]
         return np.all((points >= iv[:, 0]) & (points <= iv[:, 1]), axis=1)
 
     in_a, in_b = inside(a), inside(b)
@@ -46,19 +52,19 @@ def mc_iou(a: CropCube, b: CropCube, points: np.ndarray) -> float:
 
 class TestCropCube:
     def test_from_params(self):
-        p = AffineParams(0.5, 0.75, 0.0, 0.1, -0.2, 0.3)
+        p = np.array([[0.5, 0.75, 0.0, 0.1, -0.2, 0.3]])
         c = crop_cube(p)
-        np.testing.assert_array_equal(c.center, [0.1, -0.2, 0.3])
-        np.testing.assert_array_equal(c.half, [0.5, 0.5, 0.75])
+        np.testing.assert_array_equal(c.center, [[0.1, -0.2, 0.3]])
+        np.testing.assert_array_equal(c.half, [[0.5, 0.5, 0.75]])
 
     def test_intervals_and_volume(self):
         c = cube(0.0, 0.0, 0.5, 0.5, 0.5, 0.25)
         np.testing.assert_allclose(
-            c.intervals, [[-0.5, 0.5], [-0.5, 0.5], [0.25, 0.75]])
-        assert c.volume == pytest.approx(1.0 * 1.0 * 0.5)
+            c.intervals, [[[-0.5, 0.5], [-0.5, 0.5], [0.25, 0.75]]])
+        assert c.volume == pytest.approx([1.0 * 1.0 * 0.5])
 
     def test_rotated_crop_rejected(self):
-        p = AffineParams(0.5, 0.5, 0.1, 0.0, 0.0, 0.0)
+        p = np.array([[0.5, 0.5, 0.1, 0.0, 0.0, 0.0]])
         with pytest.raises(UnsupportedMetricError):
             crop_cube(p)
 
@@ -66,31 +72,31 @@ class TestCropCube:
 class TestStIou:
     def test_identical_cubes(self):
         c = cube(0.1, -0.2, 0.0, 0.5, 0.5, 0.6)
-        assert st_iou(c, c) == pytest.approx(1.0, abs=1e-15)
+        assert st_iou(c, c)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_disjoint_cubes(self):
         a = cube(-0.6, 0.0, 0.0, 0.3, 0.3, 0.3)
         b = cube(0.6, 0.0, 0.0, 0.3, 0.3, 0.3)
-        assert st_iou(a, b) == 0.0
+        assert st_iou(a, b)[0] == 0.0
 
     def test_half_scale_cubes_offset_half(self):
         a = cube(0.0, 0.0, 0.0, 0.5, 0.5, 0.5)
         b = cube(0.5, 0.0, 0.0, 0.5, 0.5, 0.5)
-        assert st_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert st_iou(a, b)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_nested_cubes(self):
         outer = cube(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
         inner = cube(0.0, 0.0, 0.0, 0.5, 0.5, 0.5)
-        assert st_iou(outer, inner) == pytest.approx(1.0 / 8.0, abs=1e-12)
+        assert st_iou(outer, inner)[0] == pytest.approx(1.0 / 8.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             h = rng.uniform(0.2, 0.6, size=(2, 3))
             c = rng.uniform(-0.3, 0.3, size=(2, 3))
-            a = CropCube(center=c[0], half=h[0])
-            b = CropCube(center=c[1], half=h[1])
-            assert st_iou(a, b) == st_iou(b, a)
+            a = CropCube(center=c[:1], half=h[:1])
+            b = CropCube(center=c[1:], half=h[1:])
+            assert st_iou(a, b)[0] == st_iou(b, a)[0]
 
     def test_matches_monte_carlo(self):
         """Membership-count oracle on a shared point cloud (the heavier
@@ -99,11 +105,9 @@ class TestStIou:
         points = rng.uniform(-1.0, 1.0, size=(200_000, 3))
         bounds = TrainConfig().bounds
         for _ in range(20):
-            pa = clamp_params(rng.random(6), bounds)
-            pb = clamp_params(rng.random(6), bounds)
-            a, b = crop_cube(pa), crop_cube(pb)
-            assert st_iou(a, b) == pytest.approx(mc_iou(a, b, points),
-                                                 abs=0.02)
+            a, b = one_cube(rng.random(6), bounds), one_cube(rng.random(6), bounds)
+            assert st_iou(a, b)[0] == pytest.approx(mc_iou(a, b, points),
+                                                    abs=0.02)
 
 
 class TestCenterManhattan:
@@ -111,7 +115,7 @@ class TestCenterManhattan:
         a = cube(0.1, 0.2, 0.3, 0.5, 0.5, 0.5)
         b = cube(-0.1, 0.0, 0.7, 0.5, 0.5, 0.5)
         raw, _ = center_manhattan(a, b)
-        assert raw == pytest.approx(0.2 + 0.2 + 0.4)
+        assert raw[0] == pytest.approx(0.2 + 0.2 + 0.4)
 
     def test_normalisation_uses_reachable_maximum(self):
         # Each centre can stray |1 - half| per axis, so two half-0.5 cubes
@@ -119,20 +123,20 @@ class TestCenterManhattan:
         a = cube(-0.5, -0.5, -0.5, 0.5, 0.5, 0.5)
         b = cube(0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
         raw, norm = center_manhattan(a, b)
-        assert raw == pytest.approx(3.0)
-        assert norm == pytest.approx(1.0)
+        assert raw[0] == pytest.approx(3.0)
+        assert norm[0] == pytest.approx(1.0)
 
     def test_full_size_cubes_define_zero(self):
         a = cube(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
         raw, norm = center_manhattan(a, a)
-        assert raw == 0.0 and norm == 0.0
+        assert raw[0] == 0.0 and norm[0] == 0.0
 
     def test_norm_clipped_to_one(self):
         # Centres pushed beyond their own reachable envelope still report 1.
         a = cube(-0.9, 0.0, 0.0, 0.9, 0.9, 0.9)
         b = cube(0.9, 0.0, 0.0, 0.9, 0.9, 0.9)
         _, norm = center_manhattan(a, b)
-        assert norm == 1.0
+        assert norm[0] == 1.0
 
 
 class TestBaselines:
@@ -140,28 +144,26 @@ class TestBaselines:
         return np.random.default_rng(42)
 
     def test_simple_is_identical_full_crops(self):
-        a, b = baseline_params("simple", 0, 10, self.rng(), jitter=0.0)
+        a, b = baseline_params("simple", 0, 10, self.rng(), 1, jitter=0.0)[0]
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, [1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
 
     def test_hard_is_opposite_corners(self):
         bounds = TrainConfig().bounds
-        a, b = baseline_params("hard", 0, 10, self.rng(), jitter=0.0)
-        ca = crop_cube(clamp_params(a, bounds))
-        cb = crop_cube(clamp_params(b, bounds))
-        assert st_iou(ca, cb) == 0.0
-        assert center_manhattan(ca, cb)[1] == pytest.approx(1.0)
+        a, b = baseline_params("hard", 0, 10, self.rng(), 1, jitter=0.0)[0]
+        ca, cb = one_cube(a, bounds), one_cube(b, bounds)
+        assert st_iou(ca, cb)[0] == 0.0
+        assert center_manhattan(ca, cb)[1][0] == pytest.approx(1.0)
 
     def test_manual_ramps_from_overlap_to_separation(self):
         bounds = TrainConfig().bounds
         total = 11
         dists = []
         for step in range(total):
-            a, b = baseline_params("manual", step, total, self.rng(),
-                                   jitter=0.0)
-            ca = crop_cube(clamp_params(a, bounds))
-            cb = crop_cube(clamp_params(b, bounds))
-            dists.append(center_manhattan(ca, cb)[1])
+            a, b = baseline_params("manual", step, total, self.rng(), 1,
+                                   jitter=0.0)[0]
+            ca, cb = one_cube(a, bounds), one_cube(b, bounds)
+            dists.append(center_manhattan(ca, cb)[1][0])
         assert dists[0] == 0.0
         assert dists[-1] == pytest.approx(1.0)
         assert all(d2 >= d1 for d1, d2 in zip(dists, dists[1:]))
@@ -169,16 +171,16 @@ class TestBaselines:
     def test_manual_breakpoint_delays_ramp(self):
         total = 10
         for step in range(5):
-            a, b = baseline_params("manual", step, total, self.rng(),
-                                   jitter=0.0, manual_breakpoint=0.5)
+            a, b = baseline_params("manual", step, total, self.rng(), 1,
+                                   jitter=0.0, manual_breakpoint=0.5)[0]
             np.testing.assert_array_equal(a, b)
-        a, b = baseline_params("manual", 9, total, self.rng(),
-                               jitter=0.0, manual_breakpoint=0.5)
+        a, b = baseline_params("manual", 9, total, self.rng(), 1,
+                               jitter=0.0, manual_breakpoint=0.5)[0]
         assert not np.array_equal(a, b)
 
     def test_random_uniform_and_seeded(self):
-        a1, b1 = baseline_params("random", 0, 10, np.random.default_rng(7))
-        a2, b2 = baseline_params("random", 0, 10, np.random.default_rng(7))
+        a1, b1 = baseline_params("random", 0, 10, np.random.default_rng(7), 1)[0]
+        a2, b2 = baseline_params("random", 0, 10, np.random.default_rng(7), 1)[0]
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
         assert not np.array_equal(a1, b1)
@@ -187,13 +189,13 @@ class TestBaselines:
     def test_jitter_keeps_unit_interval(self):
         rng = self.rng()
         for step in range(50):
-            a, b = baseline_params("hard", step, 50, rng, jitter=0.4)
+            a, b = baseline_params("hard", step, 50, rng, 1, jitter=0.4)[0]
             for v in (a, b):
                 assert np.all((v >= 0.0) & (v <= 1.0))
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
-            baseline_params("zoom", 0, 10, self.rng())
+            baseline_params("zoom", 0, 10, self.rng(), 1)
 
 
 class TestSyntheticBatch:
@@ -253,6 +255,11 @@ class TestTrainConfig:
             TrainConfig(temporal_scale_min=0.8, temporal_scale_max=0.6)
         with pytest.raises(ConfigError, match="angle"):
             TrainConfig(angle_min=0.2, angle_max=-0.2)
+        # The smallest crop cube volume would underflow to 0.
+        with pytest.raises(ConfigError, match="spatial_scale"):
+            TrainConfig(strategy="hard", spatial_scale_min=1e-300,
+                        input_shape=(1, 4, 6, 6), crop_shape=(3, 3, 3),
+                        batch_size=2)
 
     def test_bounds_property(self):
         cfg = TrainConfig(spatial_scale_min=0.25, spatial_scale_max=0.75,
