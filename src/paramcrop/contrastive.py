@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericsError
 
 _NORM_EPS = 1e-12
 
@@ -237,6 +237,10 @@ def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]
     pooled = act.sum(axis=1) / act.shape[1]
     projected = pooled @ enc.proj_weight.T + enc.proj_bias
     norm = np.sqrt(np.sum(projected * projected, axis=1))
+    # An overflowing norm would make the embedding 0 or NaN and the loss
+    # collapse to a constant instead of failing.
+    if not np.all(np.isfinite(norm)):
+        raise NumericsError("non-finite embedding norm in encoder forward")
     live = (norm > _NORM_EPS)[:, None]
     embedding = np.where(live, projected / np.where(live, norm[:, None], 1.0), 0.0)
     cache = EncodeCache(video=video, conv_pre=pre, pooled=pooled,
@@ -262,8 +266,10 @@ def encode_backward(
     Returns
     -------
     (grads, grad_video)
-        ``grads`` holds ``conv_w``, ``conv_b``, ``proj_w``, ``proj_b``,
-        summed over the rows; ``grad_video`` matches the input clips' shape.
+        ``grads`` is keyed by the :class:`ToyEncoder` field names
+        (``conv_weight``, ``conv_bias``, ``proj_weight``, ``proj_bias``), so
+        ``replace(enc, **updated)`` applies an update; each gradient is summed
+        over the rows.  ``grad_video`` matches the input clips' shape.
     """
     g_emb = np.asarray(grad_embedding, dtype=np.float64)
     if g_emb.shape != cache.projected.shape:
@@ -285,10 +291,10 @@ def encode_backward(
     k, s = enc.kernel, enc.stride
     cols = _im2col(cache.video, k, s)
     grads = {
-        "conv_w": (g_pre.T @ cols).reshape(enc.conv_weight.shape),
-        "conv_b": g_pre.sum(axis=0),
-        "proj_w": g_proj.T @ cache.pooled,
-        "proj_b": g_proj.sum(axis=0),
+        "conv_weight": (g_pre.T @ cols).reshape(enc.conv_weight.shape),
+        "conv_bias": g_pre.sum(axis=0),
+        "proj_weight": g_proj.T @ cache.pooled,
+        "proj_bias": g_proj.sum(axis=0),
     }
     del cols
     if not input_grad:

@@ -16,6 +16,11 @@ sampling coordinates must keep clear of voxel boundaries and the clamp
 threshold, ReLU pre-activations and generator hidden units must keep clear
 of zero.  Degenerate draws are rejected and rebuilt from a spawned seed —
 the screening never moves a value, it only re-rolls the dice.
+
+The ``full_chain`` family checks the training step's own chain, not a copy:
+it runs ``simulator``'s :func:`~paramcrop.simulator.generate`,
+``chain_forward``, ``chain_backward`` and ``generate_backward``, so a fault
+in any of them, or in how they order the two branches, fails it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .affine import (
     transform_grid_backward,
 )
 from .contrastive import (
-    EncodeCache,
     LossConfig,
     ToyEncoder,
     encode,
@@ -47,13 +51,19 @@ from .contrastive import (
 from .errors import ConfigError
 from .paramgen import (
     CropperState,
-    MlpCache,
     mlp_backward,
     mlp_forward,
     reverse_gradient,
 )
 from .sampler import resample, sample, sample_backward
-from .simulator import make_synthetic_batch
+from .simulator import (
+    chain_backward,
+    chain_forward,
+    crop_grids,
+    generate,
+    generate_backward,
+    make_synthetic_batch,
+)
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOLERANCE = 1e-5
@@ -214,19 +224,13 @@ def check_encoder(seed_seq: np.random.SeedSequence, h: float) -> float:
     grads, grad_video = encode_backward(weight, cache, enc)
 
     worst = 0.0
-    field_map = {
-        "conv_w": "conv_weight",
-        "conv_b": "conv_bias",
-        "proj_w": "proj_weight",
-        "proj_b": "proj_bias",
-    }
-    for key, attr in field_map.items():
+    for attr, grad in grads.items():
         def objective(w, attr=attr):
             emb, _ = encode(video, replace(enc, **{attr: w}))
             return float(np.sum(weight * emb))
 
         numeric = central_difference(objective, getattr(enc, attr), h)
-        worst = max(worst, max_relative_error(grads[key], numeric))
+        worst = max(worst, max_relative_error(grad, numeric))
 
     def input_objective(x):
         emb, _ = encode(x, enc)
@@ -282,56 +286,27 @@ class ChainInstance:
     encoder: ToyEncoder
     croppers: tuple[CropperState, CropperState]
     noises: np.ndarray  # (num_samples, 2, noise_dim)
+    bounds: ParamBounds
     crop_grid: np.ndarray
     loss_cfg: LossConfig
 
 
-@dataclass
-class ChainForward:
-    """Everything the backward of one chain forward pass needs.
-
-    ``units``, ``masks`` and ``params`` are (num_samples, 2, 6): the
-    generator output, its detach mask and the mapped parameters of view
-    ``branch`` of sample ``k`` sit at ``[k, branch]``.  ``mlp_caches`` holds
-    one cache per branch.
-    """
-
-    units: np.ndarray
-    masks: np.ndarray
-    params: np.ndarray
-    mlp_caches: tuple[MlpCache, MlpCache]
-    grids: np.ndarray  # (2 * num_samples, T', H', W', 3)
-    jacobian: np.ndarray | None
-    enc_cache: EncodeCache
-
-
-def _chain_forward(inst: ChainInstance, croppers=None, backward: bool = False):
-    """Forward pass returning loss plus what a backward needs.
+def _chain_forward(inst: ChainInstance, croppers, backward: bool):
+    """The training step's forward on *inst*: ``(loss, tape, units, mlp_caches)``.
 
     The sampler jacobian is computed only with *backward*; the numerical
     side of the checks never runs a backward.
     """
-    croppers = croppers or inst.croppers
-    num = inst.videos.shape[0]
-    outs = [mlp_forward(inst.noises[:, b], state) for b, state in enumerate(croppers)]
-    units = np.stack([unit for unit, _ in outs], axis=1)
-    params = np.stack(
-        [clamp_params(units[:, b], state.bounds) for b, state in enumerate(croppers)],
-        axis=1,
+    units, caches = generate(inst.noises.swapaxes(0, 1), croppers)
+    loss, _, tape = chain_forward(
+        units, inst.videos, inst.bounds, inst.crop_grid, inst.encoder,
+        inst.loss_cfg, backward,
     )
-    masks = apply_early_stop(units, 0.0)  # full gradient flow
-    grids = transform_grid(inst.crop_grid, build_affine_matrix(params.reshape(-1, 6)))
-    views = (inst.videos, grids.reshape((num, 2) + grids.shape[1:]))
-    crops, jacobian = sample(*views) if backward else (resample(*views), None)
-    embeddings, enc_cache = encode(crops, inst.encoder)
-    loss = nt_xent(embeddings, inst.loss_cfg)
-    fwd = ChainForward(units, masks, params, tuple(c for _, c in outs),
-                       grids, jacobian, enc_cache)
-    return loss, embeddings, fwd
+    return loss, tape, units, caches
 
 
 def chain_loss(inst: ChainInstance, croppers=None) -> float:
-    return _chain_forward(inst, croppers)[0]
+    return _chain_forward(inst, croppers or inst.croppers, backward=False)[0]
 
 
 def chain_cropper_grads(
@@ -342,22 +317,14 @@ def chain_cropper_grads(
     With ``reverse=True`` the gradient is sign-flipped at the generator
     output exactly as the adversarial training step does.
     """
-    loss, embeddings, fwd = _chain_forward(inst, backward=True)
-    grad_rows = nt_xent_backward(embeddings, inst.loss_cfg)
-    _, grad_crops = encode_backward(grad_rows, fwd.enc_cache, inst.encoder)
-    grad_coords = sample_backward(grad_crops, fwd.jacobian)
-    grad_params = transform_grid_backward(
-        grad_coords, inst.crop_grid, fwd.params.reshape(-1, 6)
-    ).reshape(fwd.params.shape)
-    grads = []
-    for b, state in enumerate(inst.croppers):
-        grad_unit = clamp_params_backward(
-            grad_params[:, b], fwd.units[:, b], state.bounds, fwd.masks[:, b]
-        )
-        if reverse:
-            grad_unit = reverse_gradient(grad_unit)
-        grads.append(mlp_backward(grad_unit, fwd.mlp_caches[b], state))
-    return grads
+    _, tape, units, caches = _chain_forward(inst, inst.croppers, backward=True)
+    _, grad_units = chain_backward(
+        tape, apply_early_stop(units, inst.bounds.detach_bound),
+        inst.bounds, inst.crop_grid, inst.encoder, inst.loss_cfg,
+    )
+    if reverse:
+        grad_units = reverse_gradient(grad_units)
+    return generate_backward(grad_units, caches, inst.croppers)
 
 
 def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
@@ -385,15 +352,13 @@ def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
             rng, in_channels=2, conv_channels=3, embed_dim=6
         )
         croppers = tuple(
-            CropperState.initialise(
-                rng, noise_dim=6, hidden_dim=8, bounds=bounds, init_scale=0.3
-            )
+            CropperState.initialise(rng, noise_dim=6, hidden_dim=8, init_scale=0.3)
             for _ in range(2)
         )
         noises = rng.random((2, 2, 6))
         inst = ChainInstance(
-            videos=videos, encoder=encoder, croppers=croppers,
-            noises=noises, crop_grid=crop_grid, loss_cfg=loss_cfg,
+            videos=videos, encoder=encoder, croppers=croppers, noises=noises,
+            bounds=bounds, crop_grid=crop_grid, loss_cfg=loss_cfg,
         )
         if _chain_is_smooth(inst) and _chain_is_well_conditioned(inst):
             return inst
@@ -409,13 +374,14 @@ def _chain_is_well_conditioned(inst: ChainInstance) -> bool:
 
 
 def _chain_is_smooth(inst: ChainInstance) -> bool:
-    _, _, fwd = _chain_forward(inst)
-    if not np.all(_grid_safe_mask(fwd.grids, inst.videos.shape[2:], margin=1e-5)):
+    _, tape, units, caches = _chain_forward(inst, inst.croppers, backward=False)
+    _, grids = crop_grids(units, inst.bounds, inst.crop_grid)
+    if not np.all(_grid_safe_mask(grids, inst.videos.shape[2:], margin=1e-5)):
         return False
-    if any(np.min(np.abs(c.hidden_pre)) <= 1e-5 for c in fwd.mlp_caches):
+    if any(np.min(np.abs(c.hidden_pre)) <= 1e-5 for c in caches):
         return False
-    cache = fwd.enc_cache
-    return np.min(np.abs(cache.conv_pre)) > 1e-5 and np.min(cache.norm) > 1e-3
+    enc_cache = tape[-1]
+    return np.min(np.abs(enc_cache.conv_pre)) > 1e-5 and np.min(enc_cache.norm) > 1e-3
 
 
 def check_full_chain(seed_seq: np.random.SeedSequence, h: float) -> float:

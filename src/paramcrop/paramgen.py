@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import ParamBounds
 from .errors import ConfigError, NumericsError, TrainingError
 
 DEFAULT_NOISE_DIM = 16
@@ -29,11 +28,10 @@ WEIGHT_INIT_SCALE = 0.01
 
 @dataclass(frozen=True)
 class CropperState:
-    """Weights of one crop-parameter generator plus its clamping bounds."""
+    """Weights of one generator; the run's ``TrainConfig.bounds`` map its units."""
 
     w1: np.ndarray  # (hidden_dim, noise_dim)
     w2: np.ndarray  # (6, hidden_dim)
-    bounds: ParamBounds
 
     @property
     def noise_dim(self) -> int:
@@ -49,7 +47,6 @@ class CropperState:
         rng: np.random.Generator,
         noise_dim: int = DEFAULT_NOISE_DIM,
         hidden_dim: int = DEFAULT_HIDDEN_DIM,
-        bounds: ParamBounds | None = None,
         init_scale: float = WEIGHT_INIT_SCALE,
     ) -> "CropperState":
         """Small-uniform random init so raw outputs start near zero."""
@@ -60,7 +57,7 @@ class CropperState:
             )
         w1 = rng.uniform(-init_scale, init_scale, size=(hidden_dim, noise_dim))
         w2 = rng.uniform(-init_scale, init_scale, size=(6, hidden_dim))
-        return cls(w1=w1, w2=w2, bounds=bounds or ParamBounds())
+        return cls(w1=w1, w2=w2)
 
 
 @dataclass(frozen=True)
@@ -100,12 +97,13 @@ def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, Mlp
         )
     hidden_pre = noise @ state.w1.T
     hidden = np.maximum(hidden_pre, 0.0)
-    unit = _stable_sigmoid(hidden @ state.w2.T)
+    logits = hidden @ state.w2.T
     # Non-finite crop parameters would otherwise reach the sampler's integer
-    # gather; the sigmoid maps an infinite hidden unit to a finite 0 or 1, so
-    # both layers are checked.
-    if not (np.all(np.isfinite(hidden)) and np.all(np.isfinite(unit))):
+    # gather.  The sigmoid maps an infinite logit to a finite 0 or 1, so the
+    # logits are checked; an infinite hidden unit makes them inf or NaN.
+    if not np.all(np.isfinite(logits)):
         raise NumericsError("non-finite values in generator forward")
+    unit = _stable_sigmoid(logits)
     return unit, MlpCache(noise=noise, hidden_pre=hidden_pre,
                           hidden=hidden, unit=unit)
 
@@ -180,4 +178,4 @@ def update_weights(
         {"w1": grad_w1, "w2": grad_w2},
         step_index=step_index,
     )
-    return CropperState(w1=updated["w1"], w2=updated["w2"], bounds=state.bounds)
+    return CropperState(w1=updated["w1"], w2=updated["w2"])

@@ -14,11 +14,16 @@ A training step is batch-first: the N clips of a step are one (N, C, T, H,
 W) array, and all 2N crops travel as one leading row axis, row ``2k +
 branch`` for view ``branch`` of clip ``k``, from the generator noise through
 the (2N, 6) crop parameters, the grid transform, the sampler, the encoder and
-the loss, and back; each generator sees its own N rows.  The crop metrics
-compare the N view-A cubes with the N view-B cubes in one call.  The sampler
-hands its coordinate jacobian to the backward, so the clips are released
-right after sampling; and when the detach band masks every parameter of a
-step, the crop gradient is not computed at all, since it would be zeroed.
+the loss, and back; each generator sees its own N rows.  That chain is
+four module functions, :func:`generate`, :func:`chain_forward`,
+:func:`chain_backward` and :func:`generate_backward`, which ``gradcheck``'s
+full-chain family runs too; the step adds the reversal, the detach mask and
+the updates.
+The crop metrics compare the N view-A cubes with the N view-B cubes in one
+call.  The sampler hands its coordinate jacobian to the backward, so the
+clips are released right after sampling; and when the detach band masks
+every parameter of a step, the crop gradient is not computed at all, since
+it would be zeroed.
 
 Determinism: a run is a pure function of its config.  All randomness flows
 from one seed through a fixed tree of spawned generators, and gradient
@@ -59,6 +64,7 @@ from .contrastive import (
 from .errors import ConfigError, TrainingError, UnsupportedMetricError
 from .paramgen import (
     CropperState,
+    MlpCache,
     SgdMomentum,
     mlp_backward,
     mlp_forward,
@@ -477,6 +483,89 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
+# The crop chain: generator noise -> crops -> encoder -> loss, and back
+# ---------------------------------------------------------------------------
+
+
+def generate(noises, croppers) -> tuple[np.ndarray, list[MlpCache]]:
+    """(2N, 6) unit params in 2k + branch order from each branch's N noise rows."""
+    outs = [mlp_forward(noise, state) for noise, state in zip(noises, croppers)]
+    units = np.stack([unit for unit, _ in outs], axis=1).reshape(-1, 6)
+    return units, [cache for _, cache in outs]
+
+
+def generate_backward(grad_units: np.ndarray, caches, croppers) -> list:
+    """``(grad_w1, grad_w2)`` of each generator from the (2N, 6) unit gradient."""
+    by_branch = grad_units.reshape(-1, 2, 6)
+    return [mlp_backward(by_branch[:, branch], cache, state)
+            for branch, (cache, state) in enumerate(zip(caches, croppers))]
+
+
+def crop_grids(units: np.ndarray, bounds: ParamBounds, grid: np.ndarray):
+    """(R, 6) physical params of (R, 6) unit params, and *grid* moved by each."""
+    params = clamp_params(units, bounds)
+    return params, transform_grid(grid, build_affine_matrix(params))
+
+
+def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
+                  crop_grid: np.ndarray, encoder: ToyEncoder, loss_cfg: LossConfig,
+                  backward: bool):
+    """``(loss, params, tape)`` of the crops that (2N, 6) *units* cut from *clips*.
+
+    *clips* are N clips (both views of clip ``k`` read clip ``k``) or one per
+    row, and are released once sampled.  *params* are the (2N, 6) physical
+    params; *tape* is ``(units, params, jacobian, embeddings, enc_cache)``,
+    and its jacobian, which the unit gradient needs, is None unless *backward*.
+    """
+    params, grids = crop_grids(units, bounds, crop_grid)
+    views = grids.reshape((len(clips), -1) + grids.shape[1:])
+    del grids
+    if backward:
+        crops, jacobian = sample(clips, views)
+    else:
+        crops, jacobian = resample(clips, views), None
+    del clips, views
+    embeddings, enc_cache = encode(crops, encoder)
+    loss = nt_xent(embeddings, loss_cfg)
+    return loss, params, (units, params, jacobian, embeddings, enc_cache)
+
+
+def chain_backward(tape, mask: np.ndarray | None, bounds: ParamBounds,
+                   crop_grid: np.ndarray, encoder: ToyEncoder, loss_cfg: LossConfig):
+    """Encoder gradients and the (2N, 6) unit gradient of the loss.
+
+    The unit gradient passes through *mask* (the detach band), is not
+    reversed, and is None when the forward ran without a jacobian.
+    """
+    units, params, jacobian, embeddings, enc_cache = tape
+    grad_rows = nt_xent_backward(embeddings, loss_cfg)
+    enc_grads, grad_crops = encode_backward(
+        grad_rows, enc_cache, encoder, input_grad=jacobian is not None
+    )
+    if jacobian is None:
+        return enc_grads, None
+    grad_params = transform_grid_backward(
+        sample_backward(grad_crops, jacobian), crop_grid, params
+    )
+    return enc_grads, clamp_params_backward(grad_params, units, bounds, mask)
+
+
+def crop_metrics(params: np.ndarray) -> tuple[float, float, float]:
+    """Mean IoU, raw and normalised centre distance of (2N, 6) view pairs.
+
+    Raises :class:`TrainingError` if a crop cube reaches outside the clip.
+    """
+    cube_a, cube_b = crop_cube(params[0::2]), crop_cube(params[1::2])
+    for cube in (cube_a, cube_b):
+        iv = cube.intervals
+        if np.any(iv[..., 0] < -1.0) or np.any(iv[..., 1] > 1.0):
+            raise TrainingError(f"crop cube escaped the clip volume: {iv.tolist()}")
+    raw, norm = center_manhattan(cube_a, cube_b)
+    iou = st_iou(cube_a, cube_b)
+    return float(np.mean(iou)), float(np.mean(raw)), float(np.mean(norm))
+
+
+# ---------------------------------------------------------------------------
 # The training loop
 # ---------------------------------------------------------------------------
 
@@ -486,7 +575,6 @@ class _Trainer:
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
-        self.bounds = cfg.bounds
         root = np.random.SeedSequence(cfg.seed)
         (
             data_ss, enc_ss, crop_a_ss, crop_b_ss,
@@ -515,7 +603,6 @@ class _Trainer:
                     np.random.default_rng(ss),
                     noise_dim=cfg.noise_dim,
                     hidden_dim=cfg.hidden_dim,
-                    bounds=self.bounds,
                 )
                 for ss in (crop_a_ss, crop_b_ss)
             ]
@@ -527,18 +614,11 @@ class _Trainer:
             self.crop_opts = None
         self.crop_grid = generate_grid(*cfg.crop_shape)
         self.input_grid = generate_grid(*cfg.input_shape[1:])
-        self.loss_cfg = cfg.loss_cfg
         # Interval metrics assume axis-aligned cubes; a non-zero angle range
         # makes them undefined, so those columns become NaN.
         self.metrics_enabled = cfg.angle_min == 0.0 and cfg.angle_max == 0.0
 
     # -- parameter draws ---------------------------------------------------
-
-    def _generate(self, noises) -> tuple[np.ndarray, list]:
-        """(2N, 6) unit params in 2k + branch order from each branch's N noise rows."""
-        outs = [mlp_forward(n, state) for n, state in zip(noises, self.croppers)]
-        units = np.stack([unit for unit, _ in outs], axis=1).reshape(-1, 6)
-        return units, [cache for _, cache in outs]
 
     def _baseline(self, step: int, rng: np.random.Generator, count: int) -> np.ndarray:
         """(2 * count, 6) baseline unit params in 2k + branch order."""
@@ -559,123 +639,82 @@ class _Trainer:
         if self.adversarial:
             # One stream for both branches, drawn in 2k + branch order.
             noise = sample_noise(self.probe_rng, 2 * count, cfg.noise_dim)
-            units, _ = self._generate((noise[0::2], noise[1::2]))
+            units, _ = generate((noise[0::2], noise[1::2]), self.croppers)
         else:
             units = self._baseline(0, self.probe_rng, count)
-        params = clamp_params(units, self.bounds)
-        cube_a, cube_b = crop_cube(params[0::2]), crop_cube(params[1::2])
-        dist_norm = center_manhattan(cube_a, cube_b)[1]
-        return float(np.mean(st_iou(cube_a, cube_b))), float(np.mean(dist_norm))
+        iou, _, dist_norm = crop_metrics(clamp_params(units, cfg.bounds))
+        return iou, dist_norm
 
     # -- augmentation ------------------------------------------------------
 
-    def _sources(
-        self, batch: np.ndarray, grids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Clips and grids for the sampler, crops in 2k + branch row order.
+    def _sources(self, batch: np.ndarray) -> np.ndarray:
+        """The step's N clips, or one clip per crop row with flips or pre-crops.
 
-        Without augmentation both views share their clip: (N, C, T, H, W)
-        clips with (N, 2, ..., 3) grids.  Flips and pre-crops are drawn per
-        row, so then every row gets its own clip and a single view.
+        Flips and pre-crops are drawn per row, so then every row of the 2N,
+        in 2k + branch order, gets its own copy of its clip.
         """
         cfg = self.cfg
         if not (cfg.random_flip or cfg.pre_crop):
-            return batch, grids.reshape((batch.shape[0], 2) + grids.shape[1:])
+            return batch
         sources = np.repeat(batch, 2, axis=0)
         if cfg.random_flip:
             flip = self.flip_rng.random(len(sources)) < 0.5
             sources[flip] = sources[flip][..., ::-1]
         if cfg.pre_crop:
             units = self.precrop_rng.random((len(sources), 6))
-            matrices = build_affine_matrix(clamp_params(units, self.bounds))
-            pre_grids = transform_grid(self.input_grid, matrices)
+            _, pre_grids = crop_grids(units, cfg.bounds, self.input_grid)
             sources = resample(sources, pre_grids[:, None])
-        return sources, grids[:, None]
+        return sources
 
     # -- one optimisation step --------------------------------------------
 
     def step(self, index: int) -> tuple[MetricsRecord, float]:
         cfg = self.cfg
         n_pairs = cfg.batch_size
-        batch = make_synthetic_batch(self.data_rng, n_pairs, cfg.input_shape)
-
         if self.adversarial:
-            units, mlp_caches = self._generate(
-                [sample_noise(rng, n_pairs, cfg.noise_dim) for rng in self.noise_rngs]
+            units, mlp_caches = generate(
+                [sample_noise(rng, n_pairs, cfg.noise_dim) for rng in self.noise_rngs],
+                self.croppers,
             )
-            masks = apply_early_stop(units, self.bounds.detach_bound)
+            masks = apply_early_stop(units, cfg.bounds.detach_bound)
         else:
-            units = self._baseline(index, self.baseline_rng, n_pairs)
-        params = clamp_params(units, self.bounds)
-        grids = transform_grid(self.crop_grid, build_affine_matrix(params))
+            units, masks = self._baseline(index, self.baseline_rng, n_pairs), None
         # A detach band that masks every entry zeroes the whole cropper
         # gradient, so then no crop gradient is computed at all.
         cropper_live = self.adversarial and bool(masks.any())
-        if cropper_live:
-            crops, jacobian = sample(*self._sources(batch, grids))
-        else:
-            crops = resample(*self._sources(batch, grids))
-        del batch, grids  # the backward needs the jacobian, not the clips
-        embeddings, enc_cache = encode(crops, self.encoder)
-
-        iou_mean, raw_mean, norm_mean = np.nan, np.nan, np.nan
-        if self.metrics_enabled:
-            cube_a, cube_b = crop_cube(params[0::2]), crop_cube(params[1::2])
-            self._assert_contained(cube_a, index)
-            self._assert_contained(cube_b, index)
-            raw, norm = center_manhattan(cube_a, cube_b)
-            iou_mean = float(np.mean(st_iou(cube_a, cube_b)))
-            raw_mean = float(np.mean(raw))
-            norm_mean = float(np.mean(norm))
-
-        loss = nt_xent(embeddings, self.loss_cfg)
+        # Built in the call, the clips have no other reference and are freed
+        # after sampling (star-args would keep one).
+        loss, params, tape = chain_forward(
+            units, self._sources(make_synthetic_batch(
+                self.data_rng, n_pairs, cfg.input_shape)),
+            cfg.bounds, self.crop_grid, self.encoder, cfg.loss_cfg, cropper_live,
+        )
+        metrics = crop_metrics(params) if self.metrics_enabled else (np.nan,) * 3
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss at step {index}; unit params "
                 f"mean={units.mean():.6g} min={units.min():.6g} "
                 f"max={units.max():.6g}"
             )
-
-        grad_rows = nt_xent_backward(embeddings, self.loss_cfg)
-        enc_grads, grad_crops = encode_backward(
-            grad_rows, enc_cache, self.encoder, input_grad=cropper_live
+        enc_grads, grad_units = chain_backward(
+            tape, masks, cfg.bounds, self.crop_grid, self.encoder, cfg.loss_cfg
         )
-        if cropper_live:
-            grad_coords = sample_backward(grad_crops, jacobian)
-            grad_params = transform_grid_backward(grad_coords, self.crop_grid, params)
-            grad_units = reverse_gradient(
-                clamp_params_backward(grad_params, units, self.bounds, masks)
-            ).reshape(n_pairs, 2, 6)
-            crop_grads = [
-                mlp_backward(grad_units[:, branch], mlp_caches[branch], state)
-                for branch, state in enumerate(self.croppers)
-            ]
-        elif self.adversarial:
-            crop_grads = [
-                (np.zeros_like(state.w1), np.zeros_like(state.w2))
-                for state in self.croppers
-            ]
-
-        updated = self.enc_opt.step(
-            {
-                "conv_w": self.encoder.conv_weight,
-                "conv_b": self.encoder.conv_bias,
-                "proj_w": self.encoder.proj_weight,
-                "proj_b": self.encoder.proj_bias,
-            },
-            enc_grads,
-            step_index=index,
-        )
-        self.encoder = replace(
-            self.encoder,
-            conv_weight=updated["conv_w"],
-            conv_bias=updated["conv_b"],
-            proj_weight=updated["proj_w"],
-            proj_bias=updated["proj_b"],
-        )
+        self.encoder = replace(self.encoder, **self.enc_opt.step(
+            {name: getattr(self.encoder, name) for name in enc_grads},
+            enc_grads, step_index=index,
+        ))
 
         grad_max = 0.0
         if self.adversarial:
+            if cropper_live:
+                crop_grads = generate_backward(
+                    reverse_gradient(grad_units), mlp_caches, self.croppers
+                )
+            else:
+                crop_grads = [
+                    (np.zeros_like(state.w1), np.zeros_like(state.w2))
+                    for state in self.croppers
+                ]
             for branch, (gw1, gw2) in enumerate(crop_grads):
                 grad_max = max(
                     grad_max,
@@ -686,24 +725,8 @@ class _Trainer:
                     self.croppers[branch], gw1, gw2,
                     self.crop_opts[branch], step_index=index,
                 )
-
-        record = MetricsRecord(
-            step=index,
-            loss=loss,
-            iou=iou_mean,
-            dist_raw=raw_mean,
-            dist_norm=norm_mean,
-            unit_mean=units.mean(axis=0),
-        )
+        record = MetricsRecord(index, loss, *metrics, unit_mean=units.mean(axis=0))
         return record, grad_max
-
-    @staticmethod
-    def _assert_contained(cube: CropCube, step: int) -> None:
-        iv = cube.intervals
-        if np.any(iv[..., 0] < -1.0) or np.any(iv[..., 1] > 1.0):
-            raise TrainingError(
-                f"crop cube escaped the clip volume at step {step}: {iv.tolist()}"
-            )
 
 
 def run_training(cfg: TrainConfig) -> RunResult:

@@ -5,7 +5,10 @@ the R-row call matches the sum of the one-row calls.
 
 Also checks the masked-step shortcut of the training step: with a detach band
 of 0.5 every cropper gradient is masked, and the cropper weights must come out
-of a run bit-identical to their initial values.
+of a run bit-identical to their initial values.  And it checks the training
+step's glue around the shared crop chain (the reversal, the detach mask, the
+branch split and the update): one step moves each generator's weights by the
+finite-difference gradient of the negated loss.
 """
 
 from __future__ import annotations
@@ -27,13 +30,18 @@ from paramcrop.affine import (
 )
 from paramcrop.contrastive import ToyEncoder, encode, encode_backward
 from paramcrop.errors import DimensionError
-from paramcrop.paramgen import CropperState, mlp_backward, mlp_forward
+from paramcrop.gradcheck import _grid_safe_mask, central_difference, max_relative_error
+from paramcrop.paramgen import CropperState, mlp_backward, mlp_forward, sample_noise
 from paramcrop.sampler import sample, sample_backward
 from paramcrop.simulator import (
     CropCube,
     TrainConfig,
     _Trainer,
     center_manhattan,
+    chain_forward,
+    crop_grids,
+    generate,
+    make_synthetic_batch,
     run_training,
     st_iou,
 )
@@ -247,3 +255,51 @@ def test_full_detach_band_leaves_croppers_bit_identical():
     for before, after in zip(initial, result.croppers):
         np.testing.assert_array_equal(after.w1, before.w1)
         np.testing.assert_array_equal(after.w2, before.w2)
+
+
+# Seed 3's draws are clear of every kink that a step of GLUE_H in one weight
+# could cross (checked below, the way gradcheck screens its instances).
+GLUE_SEED = 3
+# At the training init scale the weight gradients are about 1e-5, so the
+# ~1e-10 rounding noise of a central difference at h = 1e-6 would be 1e-5 of
+# them; at 1e-4 it is ~1e-7, and the curvature error stays smaller still.
+GLUE_H = 1e-4
+
+
+def test_step_moves_croppers_by_reversed_loss_gradient():
+    cfg = replace(SMALL, detach_bound=0.0, momentum=0.0, seed=GLUE_SEED)
+    trainer = _Trainer(cfg)
+    before = list(trainer.croppers)
+    trainer.step(0)
+
+    # The step's forward rebuilt from a fresh trainer: the same draws.
+    fresh = _Trainer(cfg)
+    clips = make_synthetic_batch(fresh.data_rng, cfg.batch_size, cfg.input_shape)
+    noises = [sample_noise(rng, cfg.batch_size, cfg.noise_dim) for rng in fresh.noise_rngs]
+
+    def forward(croppers):
+        units, caches = generate(noises, croppers)
+        loss, _, tape = chain_forward(units, clips, cfg.bounds, fresh.crop_grid,
+                                      fresh.encoder, cfg.loss_cfg, False)
+        return loss, units, caches, tape
+
+    _, units, caches, tape = forward(fresh.croppers)
+    _, grids = crop_grids(units, cfg.bounds, fresh.crop_grid)
+    assert np.all(_grid_safe_mask(grids, cfg.input_shape[1:], margin=1e-5))
+    # A step of h in one w1 entry moves a hidden pre-activation by at most h.
+    assert min(np.min(np.abs(c.hidden_pre)) for c in caches) > GLUE_H
+    assert np.min(np.abs(tape[-1].conv_pre)) > 1e-4
+
+    for branch in (0, 1):
+        for attr in ("w1", "w2"):
+            def neg_loss(w, branch=branch, attr=attr):
+                croppers = list(fresh.croppers)
+                croppers[branch] = replace(croppers[branch], **{attr: w})
+                return -forward(croppers)[0]
+
+            numeric = central_difference(
+                neg_loss, getattr(fresh.croppers[branch], attr), GLUE_H
+            )
+            applied = (getattr(before[branch], attr)
+                       - getattr(trainer.croppers[branch], attr)) / cfg.cropper_lr
+            assert max_relative_error(applied, numeric) < 1e-5, (branch, attr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -34,6 +35,15 @@ hidden_dim = 8
 probe_samples = 8
 seed = 5
 """
+
+
+# Passes validation, but at a temperature of 1e-300 the first encoder update
+# overflows the projection.
+TINY_TEMPERATURE_CONFIG = {
+    "steps": "2", "batch_size": "2", "input_shape": "2x3x5x4", "crop_shape": "3x3x3",
+    "noise_dim": "1", "hidden_dim": "1", "embed_dim": "3", "conv_channels": "1",
+    "probe_samples": "3", "temperature": "1e-300",
+}
 
 
 @pytest.fixture
@@ -189,6 +199,15 @@ class TestErrorPaths:
         assert code == 2
         assert not (tmp_path / "run").exists()
 
+    def test_overflowing_embedding_exits_3(self, tmp_path):
+        # At this temperature the first encoder update overflows the
+        # projection; the run used to log loss ln 3 from zero embeddings.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(format_kv(TINY_TEMPERATURE_CONFIG))
+        with np.errstate(over="ignore"):
+            code = main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 3
+
     def test_bad_thread_env_exits_2(self, tmp_path, config_path, monkeypatch):
         monkeypatch.setenv("PARAMCROP_THREADS", "zero")
         code = main(["compare", "--config", str(config_path),
@@ -327,13 +346,19 @@ class TestConfigProperty:
         "strategy": "hard", "spatial_scale_min": "1e-300", "steps": "2",
         "input_shape": "1x4x6x6", "crop_shape": "3x3x3", "batch_size": "2",
     })
+    @example(pairs=TINY_TEMPERATURE_CONFIG)
     def test_edge_config_runs_exit_0_2_or_3(self, tmp_path_factory, pairs):
         base = tmp_path_factory.getbasetemp()
         path = base / "edge.cfg"
         path.write_text(format_kv(pairs), encoding="utf-8")
-        # An exception escaping main would reach the user as a traceback.
-        code = main(["train", "--config", str(path), "--out", str(base / "edge")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # An exception escaping main would reach the user as a traceback.
+            code = main(["train", "--config", str(path), "--out", str(base / "edge")])
         assert code in (0, 2, 3)
+        # A run that succeeds must not have overflowed on the way.
+        if code == 0:
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSvg:

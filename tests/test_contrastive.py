@@ -15,7 +15,7 @@ from paramcrop.contrastive import (
     nt_xent,
     nt_xent_backward,
 )
-from paramcrop.errors import ConfigError, DimensionError
+from paramcrop.errors import ConfigError, DimensionError, NumericsError
 
 
 def brute_force_loss(embeddings: np.ndarray, temperature: float) -> float:
@@ -173,6 +173,13 @@ class TestEncoder:
         np.testing.assert_array_equal(emb, 0.0)
         assert cache.norm[0] == 0.0
 
+    def test_overflowing_norm_raises(self, encoder, clip):
+        # Each projected entry is finite (about 1e200), but its square is
+        # not, so the norm is inf and the embedding would collapse to 0.
+        enc = replace(encoder, proj_bias=np.full_like(encoder.proj_bias, 1e200))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            encode(clip, enc)
+
 
 class TestEncoderBackward:
     def test_weight_gradients_match_finite_differences(self, encoder, clip):
@@ -187,21 +194,19 @@ class TestEncoderBackward:
         grads, _ = encode_backward(upstream, cache, encoder)
         h = 1e-6
         picks = {
-            "conv_w": [(0, 0, 0, 0, 0), (3, 1, 2, 1, 0), (1, 1, 1, 1, 1)],
-            "conv_b": [(0,), (3,)],
-            "proj_w": [(0, 0), (5, 3)],
-            "proj_b": [(2,), (5,)],
+            "conv_weight": [(0, 0, 0, 0, 0), (3, 1, 2, 1, 0), (1, 1, 1, 1, 1)],
+            "conv_bias": [(0,), (3,)],
+            "proj_weight": [(0, 0), (5, 3)],
+            "proj_bias": [(2,), (5,)],
         }
-        fields = {"conv_w": "conv_weight", "conv_b": "conv_bias",
-                  "proj_w": "proj_weight", "proj_b": "proj_bias"}
         for name, idxs in picks.items():
-            base = getattr(encoder, fields[name])
+            base = getattr(encoder, name)
             for idx in idxs:
                 bumped = base.copy()
                 bumped[idx] += h
-                up = loss(replace(encoder, **{fields[name]: bumped}))
+                up = loss(replace(encoder, **{name: bumped}))
                 bumped[idx] -= 2 * h
-                down = loss(replace(encoder, **{fields[name]: bumped}))
+                down = loss(replace(encoder, **{name: bumped}))
                 fd = (up - down) / (2 * h)
                 assert grads[name][idx] == pytest.approx(fd, abs=1e-7), (name,
                                                                          idx)

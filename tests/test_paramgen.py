@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from paramcrop.affine import ParamBounds
 from paramcrop.errors import ConfigError, NumericsError, TrainingError
 from paramcrop.paramgen import (
     CropperState,
@@ -80,9 +79,16 @@ class TestForward:
         # w2 row sums inf - inf = NaN.
         w1 = np.full((4, 3), 1e200)
         w2 = np.tile(np.array([1.0, -1.0, 1.0, -1.0]) * 1e200, (6, 1))
-        s = CropperState(w1=w1, w2=w2, bounds=ParamBounds())
+        s = CropperState(w1=w1, w2=w2)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericsError):
+            mlp_forward(np.ones((1, 3)), s)
+
+    def test_overflowing_logits_raise(self):
+        # The hidden layer stays finite (3e200 each), but the logits overflow
+        # to +inf, which the sigmoid alone would turn into a finite 1.
+        s = CropperState(w1=np.full((4, 3), 1e200), w2=np.full((6, 4), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
             mlp_forward(np.ones((1, 3)), s)
 
 
@@ -100,7 +106,7 @@ class TestElementwise:
 
     def test_relu(self):
         # Identity first layer, so the hidden pre-activation is the noise.
-        s = CropperState(w1=np.eye(3), w2=np.zeros((6, 3)), bounds=ParamBounds())
+        s = CropperState(w1=np.eye(3), w2=np.zeros((6, 3)))
         _, cache = mlp_forward(np.array([[-1.0, 0.0, 2.5]]), s)
         np.testing.assert_array_equal(cache.hidden[0], [0.0, 0.0, 2.5])
 
@@ -109,7 +115,7 @@ class TestElementwise:
         # turn into a finite 1.
         w1 = np.full((4, 3), 1e308)
         w2 = np.full((6, 4), 1e200)
-        s = CropperState(w1=w1, w2=w2, bounds=ParamBounds())
+        s = CropperState(w1=w1, w2=w2)
         with np.errstate(over="ignore"), pytest.raises(NumericsError):
             mlp_forward(np.ones((1, 3)), s)
 
@@ -127,7 +133,7 @@ class TestBackward:
         h = 1e-6
 
         def loss(w1: np.ndarray, w2: np.ndarray) -> float:
-            s = CropperState(w1=w1, w2=w2, bounds=state.bounds)
+            s = CropperState(w1=w1, w2=w2)
             unit, _ = mlp_forward(noise, s)
             return float(np.vdot(upstream, unit))
 
@@ -203,4 +209,3 @@ class TestOptimiser:
         assert new is not state
         np.testing.assert_allclose(new.w1, state.w1 - 0.5, atol=1e-15)
         np.testing.assert_allclose(new.w2, state.w2 - 0.5, atol=1e-15)
-        assert new.bounds is state.bounds
