@@ -22,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DimensionError,
-    NumericsError,
-    ParamCropError,
-    TrainingError,
-    UnsupportedMetricError,
-)
+from .errors import ConfigError, NumericsError, ParamCropError
 from .gradcheck import run_all, render_report
 from .kv import format_kv, parse_kv
 from .simulator import (
@@ -350,16 +343,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2
-    except (TrainingError, NumericsError, DimensionError,
-            UnsupportedMetricError) as exc:
+    except ParamCropError as exc:
         logger.error("numerical error: %s", exc)
         return 3
     except OSError as exc:
         logger.error("I/O error: %s", exc)
         return 4
-    except ParamCropError as exc:  # fallback for any future subclass
-        logger.error("error: %s", exc)
-        return 3
 
 
 if __name__ == "__main__":

@@ -98,6 +98,27 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - f)) / scale)
 
 
+def _weights_error(weights, grads: dict[str, np.ndarray], loss) -> float:
+    """Worst error of field-keyed *grads* of ``loss(weights)``, field by field."""
+    worst = 0.0
+    for name, grad in grads.items():
+        numeric = central_difference(
+            lambda w, name=name: loss(replace(weights, **{name: w})),
+            getattr(weights, name),
+        )
+        worst = max(worst, max_relative_error(grad, numeric))
+    return worst
+
+
+def _screened(seed_seq: np.random.SeedSequence, build, what: str):
+    """The first non-None ``build(rng)``, one spawned child seed per try."""
+    for child in seed_seq.spawn(_MAX_REBUILDS):
+        instance = build(np.random.default_rng(child))
+        if instance is not None:
+            return instance
+    raise RuntimeError(f"could not build a kink-free {what} instance")
+
+
 def _coord_clear_of_kinks(
     coords: np.ndarray, length: int, margin: float
 ) -> np.ndarray:
@@ -126,7 +147,7 @@ def _grid_safe_mask(grid: np.ndarray, dims: tuple[int, int, int], margin: float)
 # ---------------------------------------------------------------------------
 
 
-def check_sampler_grid(seed_seq: np.random.SeedSequence, h: float) -> float:
+def check_sampler_grid(seed_seq: np.random.SeedSequence) -> float:
     """Resampler output w.r.t. grid coordinates."""
     rng = np.random.default_rng(seed_seq)
     video = rng.normal(size=(1, 2, 5, 6, 7))
@@ -137,14 +158,14 @@ def check_sampler_grid(seed_seq: np.random.SeedSequence, h: float) -> float:
     def objective(g):
         return float(np.sum(weight * resample(video, g)))
 
-    numeric = central_difference(objective, grid, h)
+    numeric = central_difference(objective, grid)
     # Comparisons are only fair where no perturbation can cross a cell edge
     # or the clamp threshold.
     safe = _grid_safe_mask(grid[0], video.shape[2:], margin=1e-4)[None]
     return max_relative_error(analytic[safe], numeric[safe])
 
 
-def check_interval_map(seed_seq: np.random.SeedSequence, h: float) -> float:
+def check_interval_map(seed_seq: np.random.SeedSequence) -> float:
     """Unit-params -> physical-params mapping, including the coupled offsets."""
     rng = np.random.default_rng(seed_seq)
     bounds = ParamBounds(
@@ -160,11 +181,11 @@ def check_interval_map(seed_seq: np.random.SeedSequence, h: float) -> float:
     def objective(v):
         return float(np.vdot(weight, clamp_params(v, bounds)))
 
-    numeric = central_difference(objective, unit, h)
+    numeric = central_difference(objective, unit)
     return max_relative_error(analytic, numeric)
 
 
-def check_grid_transform(seed_seq: np.random.SeedSequence, h: float) -> float:
+def check_grid_transform(seed_seq: np.random.SeedSequence) -> float:
     """Transformed grid coordinates w.r.t. the six crop parameters."""
     rng = np.random.default_rng(seed_seq)
     grid = rng.uniform(-1.0, 1.0, size=(2, 3, 4, 3))
@@ -184,11 +205,11 @@ def check_grid_transform(seed_seq: np.random.SeedSequence, h: float) -> float:
     def objective(p):
         return float(np.sum(weight * transform_grid(grid, build_affine_matrix(p))))
 
-    numeric = central_difference(objective, params, h)
+    numeric = central_difference(objective, params)
     return max_relative_error(analytic, numeric)
 
 
-def check_nt_xent(seed_seq: np.random.SeedSequence, h: float) -> float:
+def check_nt_xent(seed_seq: np.random.SeedSequence) -> float:
     """Contrastive loss w.r.t. raw (unnormalised) embedding rows."""
     rng = np.random.default_rng(seed_seq)
     num_samples = int(rng.integers(2, 5))
@@ -199,78 +220,55 @@ def check_nt_xent(seed_seq: np.random.SeedSequence, h: float) -> float:
     def objective(e):
         return nt_xent(e, cfg)
 
-    numeric = central_difference(objective, emb, h)
+    numeric = central_difference(objective, emb)
     return max_relative_error(analytic, numeric)
 
 
-def _encoder_instance(seed_seq: np.random.SeedSequence):
-    for child in seed_seq.spawn(_MAX_REBUILDS):
-        rng = np.random.default_rng(child)
-        enc = ToyEncoder.initialise(
-            rng, in_channels=2, conv_channels=3, embed_dim=5
-        )
-        video = rng.normal(size=(1, 2, 4, 6, 5))
-        _, cache = encode(video, enc)
-        if np.min(np.abs(cache.conv_pre)) > 3e-5 and np.min(cache.norm) > 1e-3:
-            return enc, video, rng
-    raise RuntimeError("could not build a kink-free encoder instance")
+def _encoder_instance(rng: np.random.Generator):
+    enc = ToyEncoder.initialise(rng, in_channels=2, conv_channels=3, embed_dim=5)
+    video = rng.normal(size=(1, 2, 4, 6, 5))
+    _, cache = encode(video, enc)
+    if np.min(np.abs(cache.conv_pre)) > 3e-5 and np.min(cache.norm) > 1e-3:
+        return enc, video, rng
+    return None
 
 
-def check_encoder(seed_seq: np.random.SeedSequence, h: float) -> float:
+def check_encoder(seed_seq: np.random.SeedSequence) -> float:
     """Encoder embedding w.r.t. all weights and the input clip."""
-    enc, video, rng = _encoder_instance(seed_seq)
+    enc, video, rng = _screened(seed_seq, _encoder_instance, "encoder")
     weight = rng.normal(size=(1, enc.embed_dim))
     _, cache = encode(video, enc)
     grads, grad_video = encode_backward(weight, cache, enc)
 
-    worst = 0.0
-    for attr, grad in grads.items():
-        def objective(w, attr=attr):
-            emb, _ = encode(video, replace(enc, **{attr: w}))
-            return float(np.sum(weight * emb))
-
-        numeric = central_difference(objective, getattr(enc, attr), h)
-        worst = max(worst, max_relative_error(grad, numeric))
-
-    def input_objective(x):
-        emb, _ = encode(x, enc)
+    def objective(x, e):
+        emb, _ = encode(x, e)
         return float(np.sum(weight * emb))
 
-    numeric = central_difference(input_objective, video, h)
+    worst = _weights_error(enc, grads, lambda e: objective(video, e))
+    numeric = central_difference(lambda x: objective(x, enc), video)
     return max(worst, max_relative_error(grad_video, numeric))
 
 
-def _mlp_instance(seed_seq: np.random.SeedSequence):
-    for child in seed_seq.spawn(_MAX_REBUILDS):
-        rng = np.random.default_rng(child)
-        state = CropperState.initialise(
-            rng, noise_dim=5, hidden_dim=7, init_scale=0.1
-        )
-        noise = rng.random((1, 5))
-        _, cache = mlp_forward(noise, state)
-        if np.min(np.abs(cache.hidden_pre)) > 1e-5:
-            return state, noise, rng
-    raise RuntimeError("could not build a kink-free generator instance")
+def _mlp_instance(rng: np.random.Generator):
+    state = CropperState.initialise(rng, noise_dim=5, hidden_dim=7, init_scale=0.1)
+    noise = rng.random((1, 5))
+    _, cache = mlp_forward(noise, state)
+    if np.min(np.abs(cache.hidden_pre)) > 1e-5:
+        return state, noise, rng
+    return None
 
 
-def check_generator_mlp(seed_seq: np.random.SeedSequence, h: float) -> float:
+def check_generator_mlp(seed_seq: np.random.SeedSequence) -> float:
     """Generator unit-params w.r.t. both weight matrices."""
-    state, noise, rng = _mlp_instance(seed_seq)
+    state, noise, rng = _screened(seed_seq, _mlp_instance, "generator")
     weight = rng.normal(size=(1, 6))
-    unit, cache = mlp_forward(noise, state)
-    grad_w1, grad_w2 = mlp_backward(weight, cache, state)
+    _, cache = mlp_forward(noise, state)
 
-    def objective_w1(w1):
-        out, _ = mlp_forward(noise, replace(state, w1=w1))
+    def objective(s):
+        out, _ = mlp_forward(noise, s)
         return float(np.vdot(weight, out))
 
-    def objective_w2(w2):
-        out, _ = mlp_forward(noise, replace(state, w2=w2))
-        return float(np.vdot(weight, out))
-
-    err1 = max_relative_error(grad_w1, central_difference(objective_w1, state.w1, h))
-    err2 = max_relative_error(grad_w2, central_difference(objective_w2, state.w2, h))
-    return max(err1, err2)
+    return _weights_error(state, mlp_backward(weight, cache, state), objective)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +309,8 @@ def chain_loss(inst: ChainInstance, croppers=None) -> float:
 
 def chain_cropper_grads(
     inst: ChainInstance, reverse: bool = False
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Analytic loss gradients for both generators' weights.
+) -> list[dict[str, np.ndarray]]:
+    """Analytic loss gradients for both generators' weights, field-keyed.
 
     With ``reverse=True`` the gradient is sign-flipped at the generator
     output exactly as the adversarial training step does.
@@ -345,8 +343,8 @@ def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
     )
     crop_grid = generate_grid(4, 5, 5)
     loss_cfg = LossConfig(temperature=0.05, num_samples=2)
-    for child in seed_seq.spawn(_MAX_REBUILDS):
-        rng = np.random.default_rng(child)
+
+    def build(rng: np.random.Generator) -> ChainInstance | None:
         videos = make_synthetic_batch(rng, 2, (2, 8, 10, 10))
         encoder = ToyEncoder.initialise(
             rng, in_channels=2, conv_channels=3, embed_dim=6
@@ -362,13 +360,15 @@ def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
         )
         if _chain_is_smooth(inst) and _chain_is_well_conditioned(inst):
             return inst
-    raise RuntimeError("could not build a kink-free chain instance")
+        return None
+
+    return _screened(seed_seq, build, "chain")
 
 
 def _chain_is_well_conditioned(inst: ChainInstance) -> bool:
     grads = chain_cropper_grads(inst)
     smallest_scale = min(
-        np.max(np.abs(g)) for branch in grads for g in branch
+        np.max(np.abs(g)) for branch in grads for g in branch.values()
     )
     return smallest_scale > 2e-3
 
@@ -384,23 +384,17 @@ def _chain_is_smooth(inst: ChainInstance) -> bool:
     return np.min(np.abs(enc_cache.conv_pre)) > 1e-5 and np.min(enc_cache.norm) > 1e-3
 
 
-def check_full_chain(seed_seq: np.random.SeedSequence, h: float) -> float:
+def check_full_chain(seed_seq: np.random.SeedSequence) -> float:
     """End-to-end: generator weights through crop, encoder and loss."""
     inst = build_chain_instance(seed_seq)
-    analytic = chain_cropper_grads(inst, reverse=False)
-
     worst = 0.0
-    for branch in (0, 1):
-        for attr, grad in zip(("w1", "w2"), analytic[branch]):
-            def objective(w, branch=branch, attr=attr):
-                states = list(inst.croppers)
-                states[branch] = replace(states[branch], **{attr: w})
-                return chain_loss(inst, tuple(states))
+    for branch, grads in enumerate(chain_cropper_grads(inst, reverse=False)):
+        def objective(state, branch=branch):
+            states = list(inst.croppers)
+            states[branch] = state
+            return chain_loss(inst, tuple(states))
 
-            numeric = central_difference(
-                objective, getattr(inst.croppers[branch], attr), h
-            )
-            worst = max(worst, max_relative_error(grad, numeric))
+        worst = max(worst, _weights_error(inst.croppers[branch], grads, objective))
     return worst
 
 
@@ -437,7 +431,6 @@ def run_all(
     base_seed: int = 0,
     num_seeds: int = 20,
     tolerance: float = DEFAULT_TOLERANCE,
-    h: float = DEFAULT_STEP,
 ) -> list[CheckResult]:
     """Run every family over *num_seeds* independent instances."""
     if num_seeds < 1:
@@ -451,7 +444,7 @@ def run_all(
     for name, fn in CHECK_FAMILIES.items():
         start = time.perf_counter()
         seeds = root.spawn(num_seeds)
-        worst = max(fn(ss, h) for ss in seeds)
+        worst = max(fn(ss) for ss in seeds)
         results.append(
             CheckResult(
                 name=name,

@@ -15,7 +15,8 @@ ascent optimiser, callers negate the incoming gradient with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TypeVar
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .errors import ConfigError, NumericsError, TrainingError
 DEFAULT_NOISE_DIM = 16
 DEFAULT_HIDDEN_DIM = 32
 WEIGHT_INIT_SCALE = 0.01
+
+Weights = TypeVar("Weights")
 
 
 @dataclass(frozen=True)
@@ -95,12 +98,14 @@ def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, Mlp
             f"noise shape {noise.shape} does not match generator input "
             f"(R, {state.noise_dim})"
         )
-    hidden_pre = noise @ state.w1.T
-    hidden = np.maximum(hidden_pre, 0.0)
-    logits = hidden @ state.w2.T
     # Non-finite crop parameters would otherwise reach the sampler's integer
     # gather.  The sigmoid maps an infinite logit to a finite 0 or 1, so the
-    # logits are checked; an infinite hidden unit makes them inf or NaN.
+    # logits are checked; an infinite hidden unit makes them inf or NaN.  The
+    # check raises on any overflow here, so the products need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden_pre = noise @ state.w1.T
+        hidden = np.maximum(hidden_pre, 0.0)
+        logits = hidden @ state.w2.T
     if not np.all(np.isfinite(logits)):
         raise NumericsError("non-finite values in generator forward")
     unit = _stable_sigmoid(logits)
@@ -110,19 +115,19 @@ def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, Mlp
 
 def mlp_backward(
     grad_unit: np.ndarray, cache: MlpCache, state: CropperState
-) -> tuple[np.ndarray, np.ndarray]:
+) -> dict[str, np.ndarray]:
     """Gradients of the generator weights given (R, 6) gradients on the outputs.
 
-    Returns ``(grad_w1, grad_w2)``, each summed over the R rows.  The ReLU
-    subgradient at exactly zero is taken as zero.
+    Returns ``{"w1": ..., "w2": ...}``, keyed by the :class:`CropperState`
+    field names and each summed over the R rows.  The ReLU subgradient at
+    exactly zero is taken as zero.
     """
     grad_unit = np.asarray(grad_unit, dtype=np.float64)
     v = cache.unit
     grad_raw = grad_unit * v * (1.0 - v)          # through the sigmoid
     grad_w2 = grad_raw.T @ cache.hidden
     grad_pre = (grad_raw @ state.w2) * (cache.hidden_pre > 0.0)
-    grad_w1 = grad_pre.T @ cache.noise
-    return grad_w1, grad_w2
+    return {"w1": grad_pre.T @ cache.noise, "w2": grad_w2}
 
 
 def reverse_gradient(grad: np.ndarray) -> np.ndarray:
@@ -136,46 +141,32 @@ def reverse_gradient(grad: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SgdMomentum:
-    """Classic momentum SGD over a named parameter dict.
-
-    velocity = momentum * velocity + grad;  param -= lr * velocity
-    """
+    """Momentum SGD settings and per-field velocities for :func:`update_weights`."""
 
     lr: float
     momentum: float = 0.9
     velocities: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def step(
-        self,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        step_index: int | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Return updated parameters; velocities persist on the optimiser."""
-        out: dict[str, np.ndarray] = {}
-        for name, value in params.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            if not np.all(np.isfinite(g)):
-                where = "" if step_index is None else f" at step {step_index}"
-                raise TrainingError(f"non-finite gradient for '{name}'{where}")
-            vel = self.velocities.get(name)
-            vel = g if vel is None else self.momentum * vel + g
-            self.velocities[name] = vel
-            out[name] = value - self.lr * vel
-        return out
-
 
 def update_weights(
-    state: CropperState,
-    grad_w1: np.ndarray,
-    grad_w2: np.ndarray,
+    state: Weights,
+    grads: dict[str, np.ndarray],
     optimiser: SgdMomentum,
     step_index: int | None = None,
-) -> CropperState:
-    """One optimiser step on a generator; returns the new state."""
-    updated = optimiser.step(
-        {"w1": state.w1, "w2": state.w2},
-        {"w1": grad_w1, "w2": grad_w2},
-        step_index=step_index,
-    )
-    return CropperState(w1=updated["w1"], w2=updated["w2"])
+) -> Weights:
+    """A copy of frozen weights *state* (generator or encoder) after one step.
+
+    ``velocity = momentum * velocity + grad;  weight -= lr * velocity`` for
+    each field named in *grads*; the velocities persist on *optimiser*.
+    """
+    updated: dict[str, np.ndarray] = {}
+    for name, grad in grads.items():
+        g = np.asarray(grad, dtype=np.float64)
+        if not np.all(np.isfinite(g)):
+            where = "" if step_index is None else f" at step {step_index}"
+            raise TrainingError(f"non-finite gradient for '{name}'{where}")
+        vel = optimiser.velocities.get(name)
+        vel = g if vel is None else optimiser.momentum * vel + g
+        optimiser.velocities[name] = vel
+        updated[name] = getattr(state, name) - optimiser.lr * vel
+    return replace(state, **updated)

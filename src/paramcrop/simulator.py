@@ -18,12 +18,13 @@ the loss, and back; each generator sees its own N rows.  That chain is
 four module functions, :func:`generate`, :func:`chain_forward`,
 :func:`chain_backward` and :func:`generate_backward`, which ``gradcheck``'s
 full-chain family runs too; the step adds the reversal, the detach mask and
-the updates.
+the updates, which :func:`~paramcrop.paramgen.update_weights` applies to the
+encoder and both generators alike.
 The crop metrics compare the N view-A cubes with the N view-B cubes in one
 call.  The sampler hands its coordinate jacobian to the backward, so the
 clips are released right after sampling; and when the detach band masks
 every parameter of a step, the crop gradient is not computed at all, since
-it would be zeroed.
+it would be zeroed: the generators receive a zero unit gradient instead.
 
 Determinism: a run is a pure function of its config.  All randomness flows
 from one seed through a fixed tree of spawned generators, and gradient
@@ -378,18 +379,17 @@ class TrainConfig:
             )
 
 
-_SHAPE_FIELDS = {"input_shape": 4, "crop_shape": 3}
-_BOOL_FIELDS = ("random_flip", "pre_crop")
-
-
 def config_to_pairs(cfg: TrainConfig) -> dict[str, str]:
-    """Flatten a config to text values in canonical field order."""
+    """Flatten a config to text values in canonical field order.
+
+    A tuple default is written as a shape ``AxB...``, a bool as true/false.
+    """
     out: dict[str, str] = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name in _SHAPE_FIELDS:
+        if isinstance(f.default, tuple):
             out[f.name] = "x".join(str(d) for d in value)
-        elif f.name in _BOOL_FIELDS:
+        elif isinstance(f.default, bool):
             out[f.name] = "true" if value else "false"
         else:
             out[f.name] = repr(value) if isinstance(value, float) else str(value)
@@ -401,23 +401,25 @@ def config_from_pairs(
 ) -> TrainConfig:
     """Apply text overrides to *base* (default config when omitted).
 
-    Unknown keys and unparsable values raise :class:`ConfigError` naming the
-    offending field.
+    Each value is parsed by the type of the field's default, as
+    :func:`config_to_pairs` writes it.  Unknown keys and unparsable values
+    raise :class:`ConfigError` naming the offending field.
     """
     base = base if base is not None else TrainConfig()
-    known = {f.name: f for f in fields(base)}
+    defaults = {f.name: f.default for f in fields(base)}
     updates: dict[str, object] = {}
     for key, text in pairs.items():
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"unknown config key '{key}'")
-        if key in _SHAPE_FIELDS:
-            updates[key] = _parse_shape(text, _SHAPE_FIELDS[key], key)
-        elif key in _BOOL_FIELDS:
+        default = defaults[key]
+        if isinstance(default, tuple):
+            updates[key] = _parse_shape(text, len(default), key)
+        elif isinstance(default, bool):  # bool("false") would be True
             updates[key] = _parse_bool(text, key)
-        elif key == "strategy":
+        elif isinstance(default, str):
             updates[key] = text.strip()
         else:
-            caster = type(getattr(base, key))
+            caster = type(default)
             try:
                 updates[key] = caster(text)
             except ValueError as exc:
@@ -495,7 +497,7 @@ def generate(noises, croppers) -> tuple[np.ndarray, list[MlpCache]]:
 
 
 def generate_backward(grad_units: np.ndarray, caches, croppers) -> list:
-    """``(grad_w1, grad_w2)`` of each generator from the (2N, 6) unit gradient."""
+    """Each generator's field-keyed weight gradients from the (2N, 6) unit gradient."""
     by_branch = grad_units.reshape(-1, 2, 6)
     return [mlp_backward(by_branch[:, branch], cache, state)
             for branch, (cache, state) in enumerate(zip(caches, croppers))]
@@ -535,7 +537,7 @@ def chain_backward(tape, mask: np.ndarray | None, bounds: ParamBounds,
     """Encoder gradients and the (2N, 6) unit gradient of the loss.
 
     The unit gradient passes through *mask* (the detach band), is not
-    reversed, and is None when the forward ran without a jacobian.
+    reversed, and is zero when the forward ran without a jacobian.
     """
     units, params, jacobian, embeddings, enc_cache = tape
     grad_rows = nt_xent_backward(embeddings, loss_cfg)
@@ -543,7 +545,7 @@ def chain_backward(tape, mask: np.ndarray | None, bounds: ParamBounds,
         grad_rows, enc_cache, encoder, input_grad=jacobian is not None
     )
     if jacobian is None:
-        return enc_grads, None
+        return enc_grads, np.zeros_like(units)
     grad_params = transform_grid_backward(
         sample_backward(grad_crops, jacobian), crop_grid, params
     )
@@ -680,7 +682,8 @@ class _Trainer:
         else:
             units, masks = self._baseline(index, self.baseline_rng, n_pairs), None
         # A detach band that masks every entry zeroes the whole cropper
-        # gradient, so then no crop gradient is computed at all.
+        # gradient, so then the chain skips the crop gradient and hands back
+        # zeros.
         cropper_live = self.adversarial and bool(masks.any())
         # Built in the call, the clips have no other reference and are freed
         # after sampling (star-args would keep one).
@@ -699,30 +702,21 @@ class _Trainer:
         enc_grads, grad_units = chain_backward(
             tape, masks, cfg.bounds, self.crop_grid, self.encoder, cfg.loss_cfg
         )
-        self.encoder = replace(self.encoder, **self.enc_opt.step(
-            {name: getattr(self.encoder, name) for name in enc_grads},
-            enc_grads, step_index=index,
-        ))
+        self.encoder = update_weights(
+            self.encoder, enc_grads, self.enc_opt, step_index=index
+        )
 
         grad_max = 0.0
         if self.adversarial:
-            if cropper_live:
-                crop_grads = generate_backward(
-                    reverse_gradient(grad_units), mlp_caches, self.croppers
-                )
-            else:
-                crop_grads = [
-                    (np.zeros_like(state.w1), np.zeros_like(state.w2))
-                    for state in self.croppers
-                ]
-            for branch, (gw1, gw2) in enumerate(crop_grads):
-                grad_max = max(
-                    grad_max,
-                    float(np.max(np.abs(gw1))) if gw1.size else 0.0,
-                    float(np.max(np.abs(gw2))) if gw2.size else 0.0,
-                )
+            crop_grads = generate_backward(
+                reverse_gradient(grad_units), mlp_caches, self.croppers
+            )
+            for branch, grads in enumerate(crop_grads):
+                grad_max = max(grad_max, *(
+                    float(np.max(np.abs(g), initial=0.0)) for g in grads.values()
+                ))
                 self.croppers[branch] = update_weights(
-                    self.croppers[branch], gw1, gw2,
+                    self.croppers[branch], grads,
                     self.crop_opts[branch], step_index=index,
                 )
         record = MetricsRecord(index, loss, *metrics, unit_mean=units.mean(axis=0))

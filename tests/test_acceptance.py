@@ -74,7 +74,7 @@ def _phase_means(records, fraction=0.1):
 
 def test_01_gradient_fidelity_20_seeds():
     start = time.perf_counter()
-    results = run_all(base_seed=0, num_seeds=20, tolerance=1e-5, h=1e-6)
+    results = run_all(base_seed=0, num_seeds=20, tolerance=1e-5)
     elapsed = time.perf_counter() - start
     report = render_report(results)
     names = {r.name for r in results}
@@ -95,8 +95,9 @@ def test_02_reversal_is_bit_exact_negation():
         inst = build_chain_instance(np.random.SeedSequence(seed))
         plain = chain_cropper_grads(inst, reverse=False)
         reversed_ = chain_cropper_grads(inst, reverse=True)
-        for (p1, p2), (r1, r2) in zip(plain, reversed_):
-            for p, r in ((p1, r1), (p2, r2)):
+        for p_branch, r_branch in zip(plain, reversed_):
+            for p, r in ((p_branch["w1"], r_branch["w1"]),
+                         (p_branch["w2"], r_branch["w2"])):
                 nonzero = p != 0.0
                 assert nonzero.any()
                 # Bit-for-bit negation wherever the gradient is nonzero.

@@ -123,18 +123,19 @@ class TestGenerator:
         noise = rng.random((ROWS, 5))
         upstream = rng.normal(size=(ROWS, 6))
         unit, cache = mlp_forward(noise, state)
-        grad_w1, grad_w2 = mlp_backward(upstream, cache, state)
+        grads = mlp_backward(upstream, cache, state)
         assert unit.shape == (ROWS, 6)
-        sum_w1, sum_w2 = np.zeros_like(state.w1), np.zeros_like(state.w2)
+        summed = {key: np.zeros_like(value) for key, value in grads.items()}
         for r in range(ROWS):
             one_unit, one_cache = mlp_forward(noise[r:r + 1], state)
             assert_close(unit[r], one_unit[0])
-            one_w1, one_w2 = mlp_backward(upstream[r:r + 1], one_cache, state)
-            sum_w1 += one_w1
-            sum_w2 += one_w2
+            one_grads = mlp_backward(upstream[r:r + 1], one_cache, state)
+            for key in summed:
+                summed[key] += one_grads[key]
         # Weight gradients are summed over the rows.
-        assert_close(grad_w1, sum_w1)
-        assert_close(grad_w2, sum_w2)
+        assert set(grads) == {"w1", "w2"}
+        for key, value in grads.items():
+            assert_close(value, summed[key])
 
 
 class TestCropMetrics:

@@ -45,6 +45,13 @@ TINY_TEMPERATURE_CONFIG = {
     "probe_samples": "3", "temperature": "1e-300",
 }
 
+# Passes validation, but the first generator update overflows its weights, so
+# the second step's generator logits are inf or NaN.
+HUGE_CROPPER_LR_CONFIG = {
+    "steps": "3", "batch_size": "2", "input_shape": "2x4x6x6", "crop_shape": "3x3x3",
+    "cropper_lr": "1e300", "detach_bound": "0.0",
+}
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -207,6 +214,19 @@ class TestErrorPaths:
         with np.errstate(over="ignore"):
             code = main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "pairs", [TINY_TEMPERATURE_CONFIG, HUGE_CROPPER_LR_CONFIG],
+        ids=["embedding_norm", "generator_logits"],
+    )
+    def test_overflow_exits_3_without_runtime_warnings(self, tmp_path, pairs):
+        path = tmp_path / "bad.cfg"
+        path.write_text(format_kv(pairs))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_thread_env_exits_2(self, tmp_path, config_path, monkeypatch):
         monkeypatch.setenv("PARAMCROP_THREADS", "zero")

@@ -70,7 +70,7 @@ class TestFamilies:
         fn = CHECK_FAMILIES[name]
         worst = 0.0
         for ss in np.random.SeedSequence(314).spawn(2):
-            worst = max(worst, fn(ss, gradcheck.DEFAULT_STEP))
+            worst = max(worst, fn(ss))
         assert worst < gradcheck.DEFAULT_TOLERANCE, name
 
     def test_family_names_cover_every_checked_path(self):
@@ -86,7 +86,8 @@ class TestChainReversal:
         plain = chain_cropper_grads(inst, reverse=False)
         flipped = chain_cropper_grads(inst, reverse=True)
         assert len(plain) == len(flipped) == 2  # one entry per generator
-        for (p1, p2), (f1, f2) in zip(plain, flipped):
+        for p, f in zip(plain, flipped):
+            (p1, p2), (f1, f2) = (p["w1"], p["w2"]), (f["w1"], f["w2"])
             np.testing.assert_array_equal(f1, -p1)
             np.testing.assert_array_equal(f2, -p2)
             assert np.any(p1 != 0.0) and np.any(p2 != 0.0)

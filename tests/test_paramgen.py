@@ -126,7 +126,8 @@ class TestBackward:
         noise = sample_noise(rng, 1, state.noise_dim)
         upstream = rng.normal(size=(1, 6))
         _, cache = mlp_forward(noise, state)
-        grad_w1, grad_w2 = mlp_backward(upstream, cache, state)
+        grads = mlp_backward(upstream, cache, state)
+        grad_w1, grad_w2 = grads["w1"], grads["w2"]
         assert grad_w1.shape == state.w1.shape
         assert grad_w2.shape == state.w2.shape
 
@@ -158,7 +159,7 @@ class TestBackward:
         _, cache = mlp_forward(noise, state)
         dead = cache.hidden_pre[0] <= 0.0
         assert dead.any(), "fixture should produce at least one inactive unit"
-        grad_w1, _ = mlp_backward(np.ones((1, 6)), cache, state)
+        grad_w1 = mlp_backward(np.ones((1, 6)), cache, state)["w1"]
         np.testing.assert_array_equal(grad_w1[dead], 0.0)
 
 
@@ -173,39 +174,49 @@ class TestReversal:
         assert np.signbit(z[0]) and not np.signbit(z[1])
 
 
+def _weights(w1, w2_shape=(6, 1)) -> CropperState:
+    return CropperState(w1=np.array(w1, dtype=np.float64), w2=np.zeros(w2_shape))
+
+
 class TestOptimiser:
+    """``update_weights``: one momentum step on the named weight fields."""
+
     def test_two_steps_by_hand(self):
         opt = SgdMomentum(lr=0.1, momentum=0.5)
-        p = {"w": np.array([1.0, 2.0])}
-        g1 = {"w": np.array([1.0, -1.0])}
-        p = opt.step(p, g1)
+        s = _weights([[1.0, 2.0]])
+        s = update_weights(s, {"w1": np.array([[1.0, -1.0]])}, opt)
         # velocity = g1; w = [1,2] - 0.1*[1,-1]
-        np.testing.assert_allclose(p["w"], [0.9, 2.1], atol=1e-15)
-        g2 = {"w": np.array([0.0, 0.0])}
-        p = opt.step(p, g2)
+        np.testing.assert_allclose(s.w1, [[0.9, 2.1]], atol=1e-15)
+        s = update_weights(s, {"w1": np.array([[0.0, 0.0]])}, opt)
         # velocity = 0.5*[1,-1]; w = [0.9,2.1] - 0.1*[0.5,-0.5]
-        np.testing.assert_allclose(p["w"], [0.85, 2.15], atol=1e-15)
+        np.testing.assert_allclose(s.w1, [[0.85, 2.15]], atol=1e-15)
 
     def test_velocity_persists_per_name(self):
         opt = SgdMomentum(lr=1.0, momentum=1.0)
-        p = {"a": np.zeros(1), "b": np.zeros(1)}
+        s = _weights([[0.0]])
         for _ in range(3):
-            p = opt.step(p, {"a": np.ones(1), "b": np.full(1, 2.0)})
+            grads = {"w1": np.ones((1, 1)), "w2": np.full((6, 1), 2.0)}
+            s = update_weights(s, grads, opt)
         # with momentum 1 and unit grads: velocities 1, 2, 3 -> sum 6
-        assert p["a"][0] == -6.0
-        assert p["b"][0] == -12.0
+        assert s.w1[0, 0] == -6.0
+        assert s.w2[0, 0] == -12.0
 
     def test_non_finite_gradient_raises(self):
         opt = SgdMomentum(lr=0.1)
         with pytest.raises(TrainingError, match="step 17"):
-            opt.step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])},
-                     step_index=17)
+            update_weights(_weights([[0.0, 0.0]]), {"w1": np.array([[1.0, np.nan]])},
+                           opt, step_index=17)
 
     def test_update_weights_returns_new_state(self, state):
         opt = SgdMomentum(lr=0.5, momentum=0.0)
         g1 = np.ones_like(state.w1)
         g2 = np.ones_like(state.w2)
-        new = update_weights(state, g1, g2, opt)
+        new = update_weights(state, {"w1": g1, "w2": g2}, opt)
         assert new is not state
         np.testing.assert_allclose(new.w1, state.w1 - 0.5, atol=1e-15)
+        np.testing.assert_allclose(new.w2, state.w2 - 0.5, atol=1e-15)
+
+    def test_fields_without_a_gradient_are_kept(self, state):
+        new = update_weights(state, {"w2": np.ones_like(state.w2)}, SgdMomentum(lr=0.5))
+        assert new.w1 is state.w1
         np.testing.assert_allclose(new.w2, state.w2 - 0.5, atol=1e-15)
