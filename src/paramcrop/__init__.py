@@ -49,7 +49,6 @@ from .paramgen import (
 from .sampler import resample, sample, sample_backward
 from .simulator import (
     CropCube,
-    MetricsRecord,
     RunResult,
     TrainConfig,
     baseline_params,
@@ -74,7 +73,7 @@ __all__ = [
     "CropperState", "SgdMomentum", "mlp_backward", "mlp_forward",
     "reverse_gradient", "sample_noise", "update_weights",
     "resample", "sample", "sample_backward",
-    "CropCube", "MetricsRecord", "RunResult", "TrainConfig",
+    "CropCube", "RunResult", "TrainConfig",
     "baseline_params", "center_manhattan", "crop_cube",
     "make_synthetic_batch", "render_csv", "run_training", "st_iou",
 ]

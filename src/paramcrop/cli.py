@@ -5,8 +5,8 @@ every run directory receives a manifest embedding the exact effective config,
 and ``--from-manifest`` replays a manifest to reproduce a run byte-for-byte.
 
 Exit codes: 0 success, 2 config error, 3 numerical/training error, 4 I/O
-error.  The PARAMCROP_THREADS environment variable (default 1) caps worker
-threads for multi-run commands.
+or out-of-memory error.  The PARAMCROP_THREADS environment variable
+(default 1) caps worker threads for multi-run commands.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from .gradcheck import run_all, render_report
 from .kv import format_kv, parse_kv
 from .simulator import (
     CSV_HEADER,
-    MetricsRecord,
     RunResult,
     TrainConfig,
     config_from_pairs,
     config_to_pairs,
     format_float,
-    format_record,
     render_csv,
     run_training,
 )
@@ -68,29 +66,26 @@ def _run_many(configs: list[TrainConfig]) -> list[RunResult]:
 
 
 def _load_config(args: argparse.Namespace) -> TrainConfig:
-    pairs: dict[str, str] = {}
     manifest_path = getattr(args, "from_manifest", None)
+    path = manifest_path or getattr(args, "config", None)
+    pairs: dict[str, str] = {}
+    if path:
+        try:
+            pairs = parse_kv(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     if manifest_path:
-        pairs = parse_kv(Path(manifest_path).read_text())
         pairs = {k: v for k, v in pairs.items() if k not in _MANIFEST_ONLY_KEYS}
-    elif getattr(args, "config", None):
-        pairs = parse_kv(Path(args.config).read_text())
     cfg = config_from_pairs(pairs)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
-def _tail(records: list[MetricsRecord], fraction: float = 0.1) -> list[MetricsRecord]:
-    count = max(1, int(len(records) * fraction))
-    return records[-count:]
-
-
-def _tail_means(records: list[MetricsRecord]) -> tuple[float, float]:
-    tail = _tail(records)
-    iou = float(np.mean([r.iou for r in tail]))
-    dist = float(np.mean([r.dist_norm for r in tail]))
-    return iou, dist
+def _tail_means(records: np.ndarray) -> tuple[float, float]:
+    """Mean IoU and normalised distance over the last tenth of a run's log."""
+    tail = records[-max(1, len(records) // 10):]
+    return float(np.mean(tail["iou"])), float(np.mean(tail["dist_norm"]))
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +93,10 @@ def _tail_means(records: list[MetricsRecord]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def render_svg(records: list[MetricsRecord], total_steps: int) -> str:
-    """Three stacked panels (loss, overlap, distance) as a standalone SVG."""
+def render_svg(records: np.ndarray, total_steps: int) -> str:
+    """A run log's loss, overlap and distance as three stacked SVG panels."""
     width, panel_h, pad = 640, 150, 40
-    series = [
-        ("loss", [r.loss for r in records]),
-        ("iou", [r.iou for r in records]),
-        ("dist_norm", [r.dist_norm for r in records]),
-    ]
+    series = [(name, records[name]) for name in ("loss", "iou", "dist_norm")]
     height = pad + len(series) * (panel_h + pad)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -223,7 +214,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     results = _run_many(configs)
     lines = ["strategy," + CSV_HEADER]
     for strategy, result in zip(strategies, results):
-        lines.extend(f"{strategy},{format_record(r)}" for r in result.records)
+        lines.extend(f"{strategy},{row}"
+                     for row in render_csv(result.records).splitlines()[1:])
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(
         out_dir, "compare", cfg,
@@ -348,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         logger.error("I/O error: %s", exc)
+        return 4
+    except MemoryError as exc:
+        logger.error("out of memory: %s", exc)
         return 4
 
 

@@ -48,7 +48,7 @@ from .contrastive import (
     nt_xent,
     nt_xent_backward,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .paramgen import (
     CropperState,
     mlp_backward,
@@ -116,7 +116,7 @@ def _screened(seed_seq: np.random.SeedSequence, build, what: str):
         instance = build(np.random.default_rng(child))
         if instance is not None:
             return instance
-    raise RuntimeError(f"could not build a kink-free {what} instance")
+    raise NumericsError(f"could not build a kink-free {what} instance")
 
 
 def _coord_clear_of_kinks(

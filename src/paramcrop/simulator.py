@@ -26,6 +26,10 @@ clips are released right after sampling; and when the detach band masks
 every parameter of a step, the crop gradient is not computed at all, since
 it would be zeroed: the generators receive a zero unit gradient instead.
 
+A run logs one row per step into a structured array of
+:data:`RECORD_DTYPE`, whose fields are the :data:`CSV_HEADER` columns in
+order; :func:`render_csv` and the command-line writers read it by column.
+
 Determinism: a run is a pure function of its config.  All randomness flows
 from one seed through a fixed tree of spawned generators, and gradient
 accumulation order is fixed, so identical configs give bit-identical metrics.
@@ -80,6 +84,9 @@ logger = logging.getLogger(__name__)
 STRATEGIES = ("paramcrop", "random", "simple", "hard", "manual")
 
 CSV_HEADER = "step,loss,iou,dist_raw,dist_norm,v_sp,v_st,v_theta,v_dx,v_dy,v_dt"
+# A run-log row: the step, its loss, batch-mean crop metrics and unit params.
+RECORD_DTYPE = np.dtype([(name, np.int64 if name == "step" else np.float64)
+                         for name in CSV_HEADER.split(",")])
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +437,8 @@ def config_from_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Metrics log
+# Run log
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Per-step log row: loss, batch-mean geometry, batch-mean unit params."""
-
-    step: int
-    loss: float
-    iou: float
-    dist_raw: float
-    dist_norm: float
-    unit_mean: np.ndarray  # (6,)
 
 
 def format_float(x: float) -> str:
@@ -451,18 +446,11 @@ def format_float(x: float) -> str:
     return f"{x:.9g}"
 
 
-def format_record(r: MetricsRecord) -> str:
-    """One CSV row (no trailing newline), column order per CSV_HEADER."""
-    cells = [str(r.step), format_float(r.loss), format_float(r.iou),
-             format_float(r.dist_raw), format_float(r.dist_norm)]
-    cells.extend(format_float(v) for v in r.unit_mean)
-    return ",".join(cells)
-
-
-def render_csv(records: list[MetricsRecord]) -> str:
-    """Serialise records with a fixed header and 9-significant-digit floats."""
+def render_csv(records: np.ndarray) -> str:
+    """A run log as CSV: the header, then one row per step, floats to 9 digits."""
     lines = [CSV_HEADER]
-    lines.extend(format_record(r) for r in records)
+    lines.extend(",".join([str(step), *map(format_float, cells)])
+                 for step, *cells in records.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -470,16 +458,19 @@ def render_csv(records: list[MetricsRecord]) -> str:
 class RunResult:
     """Everything a finished run hands back to callers.
 
-    ``cropper_grad_max`` records, per step, the largest absolute generator
-    weight-gradient (always 0.0 for baseline strategies) — used to verify
-    that a full detach band really silences the adversary.
+    ``records`` is the run log, a (steps,) array of :data:`RECORD_DTYPE`
+    whose fields are the :data:`CSV_HEADER` columns, so
+    ``records["dist_norm"]`` is the distance trajectory.
+    ``cropper_grad_max`` is a (steps,) array of each step's largest absolute
+    generator weight-gradient (always 0.0 for baseline strategies) — used to
+    verify that a full detach band really silences the adversary.
     """
 
     config: TrainConfig
-    records: list[MetricsRecord]
+    records: np.ndarray
     probe_iou: float
     probe_dist_norm: float
-    cropper_grad_max: list[float]
+    cropper_grad_max: np.ndarray
     encoder: ToyEncoder
     croppers: tuple[CropperState, CropperState] | None
 
@@ -670,7 +661,8 @@ class _Trainer:
 
     # -- one optimisation step --------------------------------------------
 
-    def step(self, index: int) -> tuple[MetricsRecord, float]:
+    def step(self, index: int) -> tuple[tuple, float]:
+        """Run step *index*; return its run-log row and its generator grad max."""
         cfg = self.cfg
         n_pairs = cfg.batch_size
         if self.adversarial:
@@ -719,8 +711,7 @@ class _Trainer:
                     self.croppers[branch], grads,
                     self.crop_opts[branch], step_index=index,
                 )
-        record = MetricsRecord(index, loss, *metrics, unit_mean=units.mean(axis=0))
-        return record, grad_max
+        return (index, loss, *metrics, *units.mean(axis=0)), grad_max
 
 
 def run_training(cfg: TrainConfig) -> RunResult:
@@ -731,16 +722,14 @@ def run_training(cfg: TrainConfig) -> RunResult:
         "run start: strategy=%s steps=%d probe_iou=%.4f probe_dist=%.4f",
         cfg.strategy, cfg.steps, probe_iou, probe_dist,
     )
-    records: list[MetricsRecord] = []
-    grad_maxes: list[float] = []
+    records = np.empty(cfg.steps, dtype=RECORD_DTYPE)
+    grad_maxes = np.empty(cfg.steps)
     for index in range(cfg.steps):
-        record, grad_max = trainer.step(index)
-        records.append(record)
-        grad_maxes.append(grad_max)
+        records[index], grad_maxes[index] = trainer.step(index)
         if cfg.steps >= 10 and (index + 1) % max(1, cfg.steps // 10) == 0:
             logger.info(
-                "step %d/%d loss=%.4f iou=%.4f dist_norm=%.4f",
-                index + 1, cfg.steps, record.loss, record.iou, record.dist_norm,
+                "step %d/%d loss=%.4f iou=%.4f dist_norm=%.4f", index + 1, cfg.steps,
+                *(records[index][name] for name in ("loss", "iou", "dist_norm")),
             )
     return RunResult(
         config=cfg,

@@ -60,10 +60,10 @@ def _phase_means(records, fraction=0.1):
     count = max(1, int(len(records) * fraction))
     head, tail = records[:count], records[-count:]
     return (
-        float(np.mean([r.dist_norm for r in head])),
-        float(np.mean([r.dist_norm for r in tail])),
-        float(np.mean([r.iou for r in head])),
-        float(np.mean([r.iou for r in tail])),
+        float(np.mean(head["dist_norm"])),
+        float(np.mean(tail["dist_norm"])),
+        float(np.mean(head["iou"])),
+        float(np.mean(tail["iou"])),
     )
 
 
@@ -258,8 +258,8 @@ def test_09_random_baseline_is_stationary(random_baseline_run):
     result, _ = random_baseline_run
     records = result.records
     quarter = len(records) // 4
-    first = float(np.mean([r.dist_norm for r in records[:quarter]]))
-    last = float(np.mean([r.dist_norm for r in records[-quarter:]]))
+    first = float(np.mean(records["dist_norm"][:quarter]))
+    last = float(np.mean(records["dist_norm"][-quarter:]))
     assert abs(first - last) / max(first, last) < 0.05, (first, last)
 
 

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from paramcrop import gradcheck
 from paramcrop.cli import main, render_svg
 from paramcrop.errors import ConfigError
 from paramcrop.kv import format_kv, parse_kv
-from paramcrop.simulator import CSV_HEADER, STRATEGIES, MetricsRecord, TrainConfig
+from paramcrop.simulator import CSV_HEADER, RECORD_DTYPE, STRATEGIES, TrainConfig
 
 FLOAT_FIELDS = [
     name for name, value in vars(TrainConfig()).items() if isinstance(value, float)
@@ -51,6 +52,12 @@ HUGE_CROPPER_LR_CONFIG = {
     "steps": "3", "batch_size": "2", "input_shape": "2x4x6x6", "crop_shape": "3x3x3",
     "cropper_lr": "1e300", "detach_bound": "0.0",
 }
+
+# Passes validation, but one input grid would need 10^15 float64 (x, y, t)
+# triples; numpy refuses the request without touching memory.
+UNALLOCATABLE_CLIP_CONFIG = (
+    "input_shape = 1x100000x100000x100000\ncrop_shape = 3x3x3\n"
+)
 
 
 @pytest.fixture
@@ -228,6 +235,28 @@ class TestErrorPaths:
         assert code == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("flag", ["--config", "--from-manifest"])
+    def test_undecodable_config_exits_2(self, tmp_path, flag, caplog):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xffsteps = 3\n")
+        code = main(["train", flag, str(bad), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+        assert str(bad) in caplog.text
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["sweep-detach", "--bounds", "0.0,0.5"],
+    ], ids=["train", "sweep-detach"])
+    def test_unallocatable_clip_exits_4(self, tmp_path, argv, monkeypatch, caplog):
+        monkeypatch.setenv("PARAMCROP_THREADS", "2")
+        path = tmp_path / "huge.cfg"
+        path.write_text(UNALLOCATABLE_CLIP_CONFIG)
+        code = main([*argv, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 4
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.split(":")[0] for m in messages] == ["out of memory"]
+
     def test_bad_thread_env_exits_2(self, tmp_path, config_path, monkeypatch):
         monkeypatch.setenv("PARAMCROP_THREADS", "zero")
         code = main(["compare", "--config", str(config_path),
@@ -276,6 +305,52 @@ class TestSweepDetach:
         assert lines[2].startswith("0.5,")
 
 
+TWENTY_STEP_CONFIG = TINY_CONFIG.replace("steps = 3\n", "steps = 20\n")
+
+
+def _train_outputs(tmp_path, capsys, name: str, overrides: str):
+    """``train``'s metrics.csv lines and stdout lines for one override set."""
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(TWENTY_STEP_CONFIG + overrides)
+    out = tmp_path / name
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    return (out / "metrics.csv").read_text().splitlines(), stdout.splitlines()
+
+
+class TestWritersAgreeWithTrain:
+    """compare.csv and sweep.csv restate the run logs that ``train`` writes."""
+
+    def test_compare_rows_are_train_rows(self, tmp_path, capsys):
+        path = tmp_path / "base.cfg"
+        path.write_text(TWENTY_STEP_CONFIG)
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp"),
+                     "--strategies", ",".join(STRATEGIES)]) == 0
+        expected = ["strategy," + CSV_HEADER]
+        for strategy in STRATEGIES:
+            metrics, _ = _train_outputs(tmp_path, capsys, strategy,
+                                        f"strategy = {strategy}\n")
+            expected.extend(f"{strategy},{row}" for row in metrics[1:])
+        assert (tmp_path / "cmp" / "compare.csv").read_text().splitlines() == expected
+
+    def test_sweep_cells_are_train_summaries(self, tmp_path, capsys):
+        bounds = ["0", "0.2", "0.5"]
+        path = tmp_path / "base.cfg"
+        path.write_text(TWENTY_STEP_CONFIG)
+        assert main(["sweep-detach", "--config", str(path), "--out",
+                     str(tmp_path / "sweep"), "--bounds", ",".join(bounds)]) == 0
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(bounds)
+        for bound, row in zip(bounds, rows):
+            _, stdout = _train_outputs(tmp_path, capsys, f"detach-{bound}",
+                                       f"detach_bound = {bound}\n")
+            probe, final = stdout[0].split(), stdout[1].split()
+            assert probe[0] == "probe" and final[0] == "final"
+            summary = [cell.split("=")[1] for cell in probe[1:] + final[1:]]
+            assert row.split(",") == [bound, *summary]
+
+
 class TestGradcheckCommand:
     def test_single_seed_passes(self, capsys):
         code = main(["gradcheck", "--seeds", "1"])
@@ -288,6 +363,11 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--seeds", "1", "--tolerance", "1e-18"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_failed_rebuild_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(gradcheck, "_encoder_instance", lambda rng: None)
+        assert main(["gradcheck", "--seeds", "1"]) == 3
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flags", [
         ["--seeds", "0"],
@@ -383,12 +463,9 @@ class TestConfigProperty:
 
 class TestSvg:
     def test_nan_rows_are_skipped(self):
-        records = [
-            MetricsRecord(step=0, loss=1.0, iou=np.nan, dist_raw=np.nan,
-                          dist_norm=np.nan, unit_mean=np.full(6, 0.5)),
-            MetricsRecord(step=1, loss=0.9, iou=np.nan, dist_raw=np.nan,
-                          dist_norm=np.nan, unit_mean=np.full(6, 0.5)),
-        ]
+        records = np.array([(0, 1.0, np.nan, np.nan, np.nan, *[0.5] * 6),
+                            (1, 0.9, np.nan, np.nan, np.nan, *[0.5] * 6)],
+                           dtype=RECORD_DTYPE)
         svg = render_svg(records, total_steps=2)
         assert svg.count("<polyline") == 1  # only the loss panel has points
         assert "nan" not in svg

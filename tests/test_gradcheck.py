@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paramcrop import gradcheck
+from paramcrop.errors import NumericsError
 from paramcrop.gradcheck import (
     CHECK_FAMILIES,
     CheckResult,
@@ -78,6 +79,19 @@ class TestFamilies:
             "sampler_grid", "interval_map", "grid_transform", "nt_xent",
             "encoder", "generator_mlp", "full_chain",
         }
+
+
+class TestScreening:
+    def test_exhausted_rebuilds_raise_numerics_error(self):
+        tries = []
+
+        def never_clear(rng):
+            tries.append(rng)
+            return None
+
+        with pytest.raises(NumericsError, match="kink-free probe instance"):
+            gradcheck._screened(np.random.SeedSequence(0), never_clear, "probe")
+        assert len(tries) == gradcheck._MAX_REBUILDS
 
 
 class TestChainReversal:

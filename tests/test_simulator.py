@@ -349,12 +349,14 @@ def tiny_result():
 class TestShortRuns:
     def test_record_stream(self, tiny_result):
         assert len(tiny_result.records) == TINY.steps
+        unit_columns = CSV_HEADER.split(",")[5:]
         for i, rec in enumerate(tiny_result.records):
-            assert rec.step == i
-            assert np.isfinite(rec.loss)
-            assert 0.0 <= rec.iou <= 1.0
-            assert 0.0 <= rec.dist_norm <= 1.0
-            assert np.all((rec.unit_mean > 0.0) & (rec.unit_mean < 1.0))
+            assert rec["step"] == i
+            assert np.isfinite(rec["loss"])
+            assert 0.0 <= rec["iou"] <= 1.0
+            assert 0.0 <= rec["dist_norm"] <= 1.0
+            unit_mean = np.array([rec[name] for name in unit_columns])
+            assert np.all((unit_mean > 0.0) & (unit_mean < 1.0))
 
     def test_probe_reflects_near_identity_init(self, tiny_result):
         assert tiny_result.probe_iou > 0.9
@@ -387,16 +389,16 @@ class TestShortRuns:
         res = run_training(replace(TINY, strategy="simple",
                                    baseline_jitter=0.0))
         for rec in res.records:
-            assert rec.iou == pytest.approx(1.0, abs=1e-12)
-            assert rec.dist_norm == 0.0
+            assert rec["iou"] == pytest.approx(1.0, abs=1e-12)
+            assert rec["dist_norm"] == 0.0
 
     def test_rotation_disables_interval_metrics(self):
         res = run_training(replace(TINY, steps=2, angle_min=-0.3,
                                    angle_max=0.3))
         for rec in res.records:
-            assert np.isnan(rec.iou)
-            assert np.isnan(rec.dist_norm)
-            assert np.isfinite(rec.loss)
+            assert np.isnan(rec["iou"])
+            assert np.isnan(rec["dist_norm"])
+            assert np.isfinite(rec["loss"])
 
     def test_extra_augmentations_run_deterministically(self):
         cfg = replace(TINY, steps=2, random_flip=True, pre_crop=True)
