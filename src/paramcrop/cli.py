@@ -2,7 +2,9 @@
 
 Configs are flat ``key = value`` text files (see TrainConfig for the keys);
 every run directory receives a manifest embedding the exact effective config,
-and ``--from-manifest`` replays a manifest to reproduce a run byte-for-byte.
+and ``--config`` also reads a manifest, so it replays that run byte-for-byte.
+A run directory is created only once the runs have returned: a failed run
+leaves none, and an unwritable ``--out`` exits 4 after the runs.
 
 Exit codes: 0 success, 2 config error, 3 numerical/training error, 4 I/O
 or out-of-memory error.  The PARAMCROP_THREADS environment variable
@@ -38,7 +40,9 @@ from .simulator import (
 
 logger = logging.getLogger(__name__)
 
-# Keys a run manifest carries on top of the config itself.
+# A run manifest is a config plus the keys below; its command, one of these,
+# is what tells it apart from a config file.
+_MANIFEST_COMMANDS = ("train", "compare", "sweep-detach")
 _MANIFEST_ONLY_KEYS = {
     "version", "command", "metrics_csv", "plot_svg", "compare_csv",
     "sweep_csv", "strategies", "detach_bounds",
@@ -66,18 +70,17 @@ def _run_many(configs: list[TrainConfig]) -> list[RunResult]:
 
 
 def _load_config(args: argparse.Namespace) -> TrainConfig:
-    manifest_path = getattr(args, "from_manifest", None)
-    path = manifest_path or getattr(args, "config", None)
+    """The ``--config`` file (a config or a run manifest) with ``--seed`` applied."""
     pairs: dict[str, str] = {}
-    if path:
+    if args.config:
         try:
-            pairs = parse_kv(Path(path).read_text(encoding="utf-8"))
+            pairs = parse_kv(Path(args.config).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
-    if manifest_path:
+            raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from exc
+    if pairs.get("command") in _MANIFEST_COMMANDS:
         pairs = {k: v for k, v in pairs.items() if k not in _MANIFEST_ONLY_KEYS}
     cfg = config_from_pairs(pairs)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -93,8 +96,9 @@ def _tail_means(records: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def render_svg(records: np.ndarray, total_steps: int) -> str:
+def render_svg(records: np.ndarray) -> str:
     """A run log's loss, overlap and distance as three stacked SVG panels."""
+    total_steps = len(records)
     width, panel_h, pad = 640, 150, 40
     series = [(name, records[name]) for name in ("loss", "iou", "dist_norm")]
     height = pad + len(series) * (panel_h + pad)
@@ -155,7 +159,7 @@ def render_svg(records: np.ndarray, total_steps: int) -> str:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     results = run_all(
-        base_seed=args.seed if args.seed is not None else 0,
+        base_seed=args.seed,
         num_seeds=args.seeds,
         tolerance=args.tolerance,
     )
@@ -182,15 +186,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.print_config:
         sys.stdout.write(format_kv(config_to_pairs(cfg)))
         return 0
+    result = run_training(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_training(cfg)
     (out_dir / "metrics.csv").write_text(render_csv(result.records))
     extra: dict[str, object] = {"metrics_csv": "metrics.csv"}
     if args.plot:
-        (out_dir / "metrics.svg").write_text(
-            render_svg(result.records, cfg.steps)
-        )
+        (out_dir / "metrics.svg").write_text(render_svg(result.records))
         extra["plot_svg"] = "metrics.svg"
     _write_manifest(out_dir, "train", cfg, extra)
     iou, dist = _tail_means(result.records)
@@ -209,9 +211,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not strategies:
         raise ConfigError("--strategies: need at least one strategy name")
     configs = [replace(cfg, strategy=s) for s in strategies]  # validates names
+    results = _run_many(configs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_many(configs)
     lines = ["strategy," + CSV_HEADER]
     for strategy, result in zip(strategies, results):
         lines.extend(f"{strategy},{row}"
@@ -240,9 +242,9 @@ def cmd_sweep_detach(args: argparse.Namespace) -> int:
     if not bounds:
         raise ConfigError("--bounds: need at least one value")
     configs = [replace(cfg, detach_bound=b) for b in bounds]  # validates range
+    results = _run_many(configs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_many(configs)
     lines = ["b_detach,probe_iou,probe_dist_norm,last_iou,last_dist_norm"]
     for bound, result in zip(bounds, results):
         iou, dist = _tail_means(result.records)
@@ -273,7 +275,8 @@ def cmd_sweep_detach(args: argparse.Namespace) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="path to a key = value config file")
+    p.add_argument("--config",
+                   help="path to a key = value config file or a run manifest")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", default="paramcrop-out", help="output directory")
 
@@ -304,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write an SVG plot of the metrics")
     p.add_argument("--print-config", action="store_true",
                    help="print the effective config and exit")
-    p.add_argument("--from-manifest",
-                   help="re-run the exact config recorded in a run manifest")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare",

@@ -235,11 +235,11 @@ def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]
     pre += enc.conv_bias
     act = np.maximum(pre, 0.0).reshape(video.shape[0], -1, w_mat.shape[0])
     pooled = act.sum(axis=1) / act.shape[1]
-    projected = pooled @ enc.proj_weight.T + enc.proj_bias
-    # An overflowing norm would make the embedding 0 or NaN and the loss
-    # collapse to a constant instead of failing; the check raises on it, so
-    # the product need not warn.
+    # An overflowing projection or norm would make the embedding 0 or NaN and
+    # the loss collapse to a constant instead of failing; the check raises on
+    # either, so the products need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
+        projected = pooled @ enc.proj_weight.T + enc.proj_bias
         norm = np.sqrt(np.sum(projected * projected, axis=1))
     if not np.all(np.isfinite(norm)):
         raise NumericsError("non-finite embedding norm in encoder forward")

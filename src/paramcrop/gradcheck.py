@@ -19,8 +19,9 @@ the screening never moves a value, it only re-rolls the dice.
 
 The ``full_chain`` family checks the training step's own chain, not a copy:
 it runs ``simulator``'s :func:`~paramcrop.simulator.generate`,
-``chain_forward``, ``chain_backward`` and ``generate_backward``, so a fault
-in any of them, or in how they order the two branches, fails it.
+``chain_forward``, ``chain_backward`` and ``generate_backward`` on the stacked
+generator pair, so a fault in any of them, or in how they order the two
+branches, fails it.
 """
 
 from __future__ import annotations
@@ -98,15 +99,20 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - f)) / scale)
 
 
-def _weights_error(weights, grads: dict[str, np.ndarray], loss) -> float:
-    """Worst error of field-keyed *grads* of ``loss(weights)``, field by field."""
+def _weights_error(weights, grads: dict[str, np.ndarray], loss,
+                   stacked: bool = False) -> float:
+    """Worst error of field-keyed *grads* of ``loss(weights)``, field by field.
+
+    With *stacked*, each generator on axis 0 is normalised by its own scale.
+    """
     worst = 0.0
     for name, grad in grads.items():
         numeric = central_difference(
             lambda w, name=name: loss(replace(weights, **{name: w})),
             getattr(weights, name),
         )
-        worst = max(worst, max_relative_error(grad, numeric))
+        pairs = zip(grad, numeric) if stacked else [(grad, numeric)]
+        worst = max(worst, *(max_relative_error(a, f) for a, f in pairs))
     return worst
 
 
@@ -282,7 +288,7 @@ class ChainInstance:
 
     videos: np.ndarray  # (num_samples, C, T, H, W)
     encoder: ToyEncoder
-    croppers: tuple[CropperState, CropperState]
+    croppers: CropperState  # the pair, stacked on the branch axis
     noises: np.ndarray  # (num_samples, 2, noise_dim)
     bounds: ParamBounds
     crop_grid: np.ndarray
@@ -290,17 +296,17 @@ class ChainInstance:
 
 
 def _chain_forward(inst: ChainInstance, croppers, backward: bool):
-    """The training step's forward on *inst*: ``(loss, tape, units, mlp_caches)``.
+    """The training step's forward on *inst*: ``(loss, tape, units, mlp_cache)``.
 
     The sampler jacobian is computed only with *backward*; the numerical
     side of the checks never runs a backward.
     """
-    units, caches = generate(inst.noises.swapaxes(0, 1), croppers)
+    units, cache = generate(inst.noises.swapaxes(0, 1), croppers)
     loss, _, tape = chain_forward(
         units, inst.videos, inst.bounds, inst.crop_grid, inst.encoder,
         inst.loss_cfg, backward,
     )
-    return loss, tape, units, caches
+    return loss, tape, units, cache
 
 
 def chain_loss(inst: ChainInstance, croppers=None) -> float:
@@ -309,20 +315,20 @@ def chain_loss(inst: ChainInstance, croppers=None) -> float:
 
 def chain_cropper_grads(
     inst: ChainInstance, reverse: bool = False
-) -> list[dict[str, np.ndarray]]:
-    """Analytic loss gradients for both generators' weights, field-keyed.
+) -> dict[str, np.ndarray]:
+    """Analytic loss gradients of the stacked generator pair's weights, field-keyed.
 
     With ``reverse=True`` the gradient is sign-flipped at the generator
     output exactly as the adversarial training step does.
     """
-    _, tape, units, caches = _chain_forward(inst, inst.croppers, backward=True)
+    _, tape, units, cache = _chain_forward(inst, inst.croppers, backward=True)
     _, grad_units = chain_backward(
         tape, apply_early_stop(units, inst.bounds.detach_bound),
         inst.bounds, inst.crop_grid, inst.encoder, inst.loss_cfg,
     )
     if reverse:
         grad_units = reverse_gradient(grad_units)
-    return generate_backward(grad_units, caches, inst.croppers)
+    return generate_backward(grad_units, cache, inst.croppers)
 
 
 def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
@@ -349,9 +355,8 @@ def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
         encoder = ToyEncoder.initialise(
             rng, in_channels=2, conv_channels=3, embed_dim=6
         )
-        croppers = tuple(
-            CropperState.initialise(rng, noise_dim=6, hidden_dim=8, init_scale=0.3)
-            for _ in range(2)
+        croppers = CropperState.stacked(
+            (rng, rng), noise_dim=6, hidden_dim=8, init_scale=0.3
         )
         noises = rng.random((2, 2, 6))
         inst = ChainInstance(
@@ -366,19 +371,17 @@ def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
 
 
 def _chain_is_well_conditioned(inst: ChainInstance) -> bool:
-    grads = chain_cropper_grads(inst)
-    smallest_scale = min(
-        np.max(np.abs(g)) for branch in grads for g in branch.values()
-    )
-    return smallest_scale > 2e-3
+    # Every branch's own gradient scale of every field must be healthy.
+    grads = chain_cropper_grads(inst).values()
+    return min(np.min(np.max(np.abs(g), axis=(1, 2))) for g in grads) > 2e-3
 
 
 def _chain_is_smooth(inst: ChainInstance) -> bool:
-    _, tape, units, caches = _chain_forward(inst, inst.croppers, backward=False)
+    _, tape, units, cache = _chain_forward(inst, inst.croppers, backward=False)
     _, grids = crop_grids(units, inst.bounds, inst.crop_grid)
     if not np.all(_grid_safe_mask(grids, inst.videos.shape[2:], margin=1e-5)):
         return False
-    if any(np.min(np.abs(c.hidden_pre)) <= 1e-5 for c in caches):
+    if np.min(np.abs(cache.hidden_pre)) <= 1e-5:
         return False
     enc_cache = tape[-1]
     return np.min(np.abs(enc_cache.conv_pre)) > 1e-5 and np.min(enc_cache.norm) > 1e-3
@@ -387,15 +390,8 @@ def _chain_is_smooth(inst: ChainInstance) -> bool:
 def check_full_chain(seed_seq: np.random.SeedSequence) -> float:
     """End-to-end: generator weights through crop, encoder and loss."""
     inst = build_chain_instance(seed_seq)
-    worst = 0.0
-    for branch, grads in enumerate(chain_cropper_grads(inst, reverse=False)):
-        def objective(state, branch=branch):
-            states = list(inst.croppers)
-            states[branch] = state
-            return chain_loss(inst, tuple(states))
-
-        worst = max(worst, _weights_error(inst.croppers[branch], grads, objective))
-    return worst
+    return _weights_error(inst.croppers, chain_cropper_grads(inst),
+                          lambda croppers: chain_loss(inst, croppers), stacked=True)
 
 
 # ---------------------------------------------------------------------------

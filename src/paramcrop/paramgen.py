@@ -3,7 +3,8 @@
 The generator is a deliberately small two-layer perceptron without biases:
 ``unit = sigmoid(relu(noise @ W1.T) @ W2.T)`` with noise drawn uniformly from
 [0, 1).  It is batch-first: ``R`` noise rows in, ``(R, 6)`` unit params out,
-and the backward sums the weight gradients over the rows.  Because freshly
+and the backward sums the weight gradients over the rows.  Leading weight axes
+stack generators into one batched matmul, as for the training pair.  Because freshly
 initialised weights are tiny, the pre-sigmoid outputs start near zero and
 every unit parameter starts near 0.5 — the two crop branches therefore begin
 almost identical and drift apart only as the adversarial signal pushes them.
@@ -31,18 +32,22 @@ Weights = TypeVar("Weights")
 
 @dataclass(frozen=True)
 class CropperState:
-    """Weights of one generator; the run's ``TrainConfig.bounds`` map its units."""
+    """Weights of one generator (2-D), or of a stack of them on leading axes.
 
-    w1: np.ndarray  # (hidden_dim, noise_dim)
-    w2: np.ndarray  # (6, hidden_dim)
+    The training pair stacks the view-A and view-B generators on axis 0; the
+    run's ``TrainConfig.bounds`` map the units.
+    """
+
+    w1: np.ndarray  # (..., hidden_dim, noise_dim)
+    w2: np.ndarray  # (..., 6, hidden_dim)
 
     @property
     def noise_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.w1.shape[-1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[-2]
 
     @classmethod
     def initialise(
@@ -62,15 +67,22 @@ class CropperState:
         w2 = rng.uniform(-init_scale, init_scale, size=(6, hidden_dim))
         return cls(w1=w1, w2=w2)
 
+    @classmethod
+    def stacked(cls, rngs, **kwargs) -> "CropperState":
+        """One generator per rng, initialised in order, stacked on axis 0."""
+        states = [cls.initialise(rng, **kwargs) for rng in rngs]
+        return cls(w1=np.stack([s.w1 for s in states]),
+                   w2=np.stack([s.w2 for s in states]))
+
 
 @dataclass(frozen=True)
 class MlpCache:
     """Forward intermediates needed by :func:`mlp_backward`, one row per draw."""
 
-    noise: np.ndarray  # (R, noise_dim)
-    hidden_pre: np.ndarray  # (R, hidden_dim)
-    hidden: np.ndarray  # (R, hidden_dim)
-    unit: np.ndarray  # (R, 6)
+    noise: np.ndarray  # (..., R, noise_dim)
+    hidden_pre: np.ndarray  # (..., R, hidden_dim)
+    hidden: np.ndarray  # (..., R, hidden_dim)
+    unit: np.ndarray  # (..., R, 6)
 
 
 def sample_noise(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -91,21 +103,25 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, MlpCache]:
-    """Map (R, noise_dim) noise rows to (R, 6) unit-interval crop parameters."""
+    """Map (..., R, noise_dim) noise rows to (..., R, 6) unit-interval params.
+
+    *noise* must have the weights' leading axes; it is never broadcast.
+    """
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.ndim != 2 or noise.shape[1] != state.noise_dim:
+    lead = state.w1.shape[:-2]
+    if noise.ndim < 2 or noise.shape[:-2] != lead or noise.shape[-1] != state.noise_dim:
         raise ConfigError(
             f"noise shape {noise.shape} does not match generator input "
-            f"(R, {state.noise_dim})"
+            f"{(*lead, 'R', state.noise_dim)}"
         )
     # Non-finite crop parameters would otherwise reach the sampler's integer
     # gather.  The sigmoid maps an infinite logit to a finite 0 or 1, so the
     # logits are checked; an infinite hidden unit makes them inf or NaN.  The
     # check raises on any overflow here, so the products need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        hidden_pre = noise @ state.w1.T
+        hidden_pre = noise @ np.swapaxes(state.w1, -1, -2)
         hidden = np.maximum(hidden_pre, 0.0)
-        logits = hidden @ state.w2.T
+        logits = hidden @ np.swapaxes(state.w2, -1, -2)
     if not np.all(np.isfinite(logits)):
         raise NumericsError("non-finite values in generator forward")
     unit = _stable_sigmoid(logits)
@@ -116,18 +132,18 @@ def mlp_forward(noise: np.ndarray, state: CropperState) -> tuple[np.ndarray, Mlp
 def mlp_backward(
     grad_unit: np.ndarray, cache: MlpCache, state: CropperState
 ) -> dict[str, np.ndarray]:
-    """Gradients of the generator weights given (R, 6) gradients on the outputs.
+    """Gradients of the generator weights given (..., R, 6) output gradients.
 
     Returns ``{"w1": ..., "w2": ...}``, keyed by the :class:`CropperState`
-    field names and each summed over the R rows.  The ReLU subgradient at
-    exactly zero is taken as zero.
+    field names, shaped like the weights and each summed over the R rows.
+    The ReLU subgradient at exactly zero is taken as zero.
     """
     grad_unit = np.asarray(grad_unit, dtype=np.float64)
     v = cache.unit
     grad_raw = grad_unit * v * (1.0 - v)          # through the sigmoid
-    grad_w2 = grad_raw.T @ cache.hidden
+    grad_w2 = np.swapaxes(grad_raw, -1, -2) @ cache.hidden
     grad_pre = (grad_raw @ state.w2) * (cache.hidden_pre > 0.0)
-    return {"w1": grad_pre.T @ cache.noise, "w2": grad_w2}
+    return {"w1": np.swapaxes(grad_pre, -1, -2) @ cache.noise, "w2": grad_w2}
 
 
 def reverse_gradient(grad: np.ndarray) -> np.ndarray:

@@ -14,12 +14,12 @@ A training step is batch-first: the N clips of a step are one (N, C, T, H,
 W) array, and all 2N crops travel as one leading row axis, row ``2k +
 branch`` for view ``branch`` of clip ``k``, from the generator noise through
 the (2N, 6) crop parameters, the grid transform, the sampler, the encoder and
-the loss, and back; each generator sees its own N rows.  That chain is
-four module functions, :func:`generate`, :func:`chain_forward`,
-:func:`chain_backward` and :func:`generate_backward`, which ``gradcheck``'s
-full-chain family runs too; the step adds the reversal, the detach mask and
-the updates, which :func:`~paramcrop.paramgen.update_weights` applies to the
-encoder and both generators alike.
+the loss, and back.  The generator pair is one stacked ``CropperState``, so
+one forward and one backward serve both branches.  That chain is four module
+functions, :func:`generate`, :func:`chain_forward`, :func:`chain_backward`
+and :func:`generate_backward`, which ``gradcheck``'s full-chain family runs
+too; the step adds the reversal, the detach mask and one
+:func:`~paramcrop.paramgen.update_weights` each for the encoder and the pair.
 The crop metrics compare the N view-A cubes with the N view-B cubes in one
 call.  The sampler hands its coordinate jacobian to the backward, so the
 clips are released right after sampling; and when the detach band masks
@@ -464,6 +464,8 @@ class RunResult:
     ``cropper_grad_max`` is a (steps,) array of each step's largest absolute
     generator weight-gradient (always 0.0 for baseline strategies) — used to
     verify that a full detach band really silences the adversary.
+    ``croppers`` is the trained generator pair as one state stacked on axis 0
+    (``croppers.w1[0]`` is view A's), or None for baseline strategies.
     """
 
     config: TrainConfig
@@ -472,7 +474,7 @@ class RunResult:
     probe_dist_norm: float
     cropper_grad_max: np.ndarray
     encoder: ToyEncoder
-    croppers: tuple[CropperState, CropperState] | None
+    croppers: CropperState | None
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +482,15 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def generate(noises, croppers) -> tuple[np.ndarray, list[MlpCache]]:
-    """(2N, 6) unit params in 2k + branch order from each branch's N noise rows."""
-    outs = [mlp_forward(noise, state) for noise, state in zip(noises, croppers)]
-    units = np.stack([unit for unit, _ in outs], axis=1).reshape(-1, 6)
-    return units, [cache for _, cache in outs]
+def generate(noises, croppers: CropperState) -> tuple[np.ndarray, MlpCache]:
+    """(2N, 6) unit params in 2k + branch order from (2, N, noise_dim) noise."""
+    units, cache = mlp_forward(noises, croppers)
+    return units.swapaxes(0, 1).reshape(-1, 6), cache
 
 
-def generate_backward(grad_units: np.ndarray, caches, croppers) -> list:
-    """Each generator's field-keyed weight gradients from the (2N, 6) unit gradient."""
-    by_branch = grad_units.reshape(-1, 2, 6)
-    return [mlp_backward(by_branch[:, branch], cache, state)
-            for branch, (cache, state) in enumerate(zip(caches, croppers))]
+def generate_backward(grad_units, cache: MlpCache, croppers: CropperState) -> dict:
+    """The pair's stacked field-keyed weight gradients of the (2N, 6) unit gradient."""
+    return mlp_backward(grad_units.reshape(-1, 2, 6).swapaxes(0, 1), cache, croppers)
 
 
 def crop_grids(units: np.ndarray, bounds: ParamBounds, grid: np.ndarray):
@@ -590,21 +589,13 @@ class _Trainer:
         )
         self.enc_opt = SgdMomentum(cfg.encoder_lr, cfg.momentum)
         self.adversarial = cfg.strategy == "paramcrop"
+        self.croppers = self.crop_opt = None
         if self.adversarial:
-            self.croppers = [
-                CropperState.initialise(
-                    np.random.default_rng(ss),
-                    noise_dim=cfg.noise_dim,
-                    hidden_dim=cfg.hidden_dim,
-                )
-                for ss in (crop_a_ss, crop_b_ss)
-            ]
-            self.crop_opts = [
-                SgdMomentum(cfg.cropper_lr, cfg.momentum) for _ in range(2)
-            ]
-        else:
-            self.croppers = None
-            self.crop_opts = None
+            self.croppers = CropperState.stacked(
+                [np.random.default_rng(ss) for ss in (crop_a_ss, crop_b_ss)],
+                noise_dim=cfg.noise_dim, hidden_dim=cfg.hidden_dim,
+            )
+            self.crop_opt = SgdMomentum(cfg.cropper_lr, cfg.momentum)
         self.crop_grid = generate_grid(*cfg.crop_shape)
         self.input_grid = generate_grid(*cfg.input_shape[1:])
         # Interval metrics assume axis-aligned cubes; a non-zero angle range
@@ -632,7 +623,8 @@ class _Trainer:
         if self.adversarial:
             # One stream for both branches, drawn in 2k + branch order.
             noise = sample_noise(self.probe_rng, 2 * count, cfg.noise_dim)
-            units, _ = generate((noise[0::2], noise[1::2]), self.croppers)
+            units, _ = generate(noise.reshape(count, 2, -1).swapaxes(0, 1),
+                                self.croppers)
         else:
             units = self._baseline(0, self.probe_rng, count)
         iou, _, dist_norm = crop_metrics(clamp_params(units, cfg.bounds))
@@ -666,8 +658,9 @@ class _Trainer:
         cfg = self.cfg
         n_pairs = cfg.batch_size
         if self.adversarial:
-            units, mlp_caches = generate(
-                [sample_noise(rng, n_pairs, cfg.noise_dim) for rng in self.noise_rngs],
+            units, cache = generate(
+                np.stack([sample_noise(rng, n_pairs, cfg.noise_dim)
+                          for rng in self.noise_rngs]),
                 self.croppers,
             )
             masks = apply_early_stop(units, cfg.bounds.detach_bound)
@@ -700,17 +693,11 @@ class _Trainer:
 
         grad_max = 0.0
         if self.adversarial:
-            crop_grads = generate_backward(
-                reverse_gradient(grad_units), mlp_caches, self.croppers
+            grads = generate_backward(reverse_gradient(grad_units), cache, self.croppers)
+            grad_max = max(float(np.max(np.abs(g))) for g in grads.values())
+            self.croppers = update_weights(
+                self.croppers, grads, self.crop_opt, step_index=index
             )
-            for branch, grads in enumerate(crop_grads):
-                grad_max = max(grad_max, *(
-                    float(np.max(np.abs(g), initial=0.0)) for g in grads.values()
-                ))
-                self.croppers[branch] = update_weights(
-                    self.croppers[branch], grads,
-                    self.crop_opts[branch], step_index=index,
-                )
         return (index, loss, *metrics, *units.mean(axis=0)), grad_max
 
 
@@ -738,5 +725,5 @@ def run_training(cfg: TrainConfig) -> RunResult:
         probe_dist_norm=probe_dist,
         cropper_grad_max=grad_maxes,
         encoder=trainer.encoder,
-        croppers=tuple(trainer.croppers) if trainer.croppers else None,
+        croppers=trainer.croppers,
     )

@@ -95,9 +95,9 @@ def test_02_reversal_is_bit_exact_negation():
         inst = build_chain_instance(np.random.SeedSequence(seed))
         plain = chain_cropper_grads(inst, reverse=False)
         reversed_ = chain_cropper_grads(inst, reverse=True)
-        for p_branch, r_branch in zip(plain, reversed_):
-            for p, r in ((p_branch["w1"], r_branch["w1"]),
-                         (p_branch["w2"], r_branch["w2"])):
+        for branch in (0, 1):
+            for p, r in ((plain["w1"][branch], reversed_["w1"][branch]),
+                         (plain["w2"][branch], reversed_["w2"][branch])):
                 nonzero = p != 0.0
                 assert nonzero.any()
                 # Bit-for-bit negation wherever the gradient is nonzero.

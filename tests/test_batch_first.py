@@ -29,7 +29,7 @@ from paramcrop.affine import (
     transform_grid_backward,
 )
 from paramcrop.contrastive import ToyEncoder, encode, encode_backward
-from paramcrop.errors import DimensionError
+from paramcrop.errors import ConfigError, DimensionError
 from paramcrop.gradcheck import _grid_safe_mask, central_difference, max_relative_error
 from paramcrop.paramgen import CropperState, mlp_backward, mlp_forward, sample_noise
 from paramcrop.sampler import sample, sample_backward
@@ -136,6 +136,34 @@ class TestGenerator:
         assert set(grads) == {"w1", "w2"}
         for key, value in grads.items():
             assert_close(value, summed[key])
+
+    def test_stacked_pair_matches_two_single_generators_bit_for_bit(self, rng):
+        pair = CropperState.stacked((rng, rng), noise_dim=5, hidden_dim=7,
+                                    init_scale=0.5)
+        assert pair.w1.shape == (2, 7, 5) and pair.w2.shape == (2, 6, 7)
+        noise = rng.random((2, ROWS, 5))
+        upstream = rng.normal(size=(2, ROWS, 6))
+        unit, cache = mlp_forward(noise, pair)
+        grads = mlp_backward(upstream, cache, pair)
+        for branch in (0, 1):
+            single = CropperState(w1=pair.w1[branch], w2=pair.w2[branch])
+            one_unit, one_cache = mlp_forward(noise[branch], single)
+            assert unit[branch].tobytes() == one_unit.tobytes()
+            one_grads = mlp_backward(upstream[branch], one_cache, single)
+            for key in ("w1", "w2"):
+                assert grads[key][branch].tobytes() == one_grads[key].tobytes()
+
+    @pytest.mark.parametrize("shape", [
+        (ROWS, 5), (1, ROWS, 5), (3, ROWS, 5), (2, 1, ROWS, 5), (2, ROWS, 4), (5,),
+    ])
+    def test_noise_must_carry_the_weights_leading_axes(self, rng, shape):
+        pair = CropperState.stacked((rng, rng), noise_dim=5, hidden_dim=7)
+        with pytest.raises(ConfigError, match="does not match"):
+            mlp_forward(np.zeros(shape), pair)
+        # A single generator takes no leading axes either.
+        single = CropperState.initialise(rng, noise_dim=5, hidden_dim=7)
+        with pytest.raises(ConfigError, match="does not match"):
+            mlp_forward(np.zeros((2, ROWS, 5)), single)
 
 
 class TestCropMetrics:
@@ -253,9 +281,9 @@ def test_full_detach_band_leaves_croppers_bit_identical():
     initial = _Trainer(cfg).croppers
     result = run_training(cfg)
     assert result.cropper_grad_max.tolist() == [0.0] * cfg.steps
-    for before, after in zip(initial, result.croppers):
-        np.testing.assert_array_equal(after.w1, before.w1)
-        np.testing.assert_array_equal(after.w2, before.w2)
+    for branch in (0, 1):
+        np.testing.assert_array_equal(result.croppers.w1[branch], initial.w1[branch])
+        np.testing.assert_array_equal(result.croppers.w2[branch], initial.w2[branch])
 
 
 # Seed 3's draws are clear of every kink that a step of GLUE_H in one weight
@@ -270,37 +298,38 @@ GLUE_H = 1e-4
 def test_step_moves_croppers_by_reversed_loss_gradient():
     cfg = replace(SMALL, detach_bound=0.0, momentum=0.0, seed=GLUE_SEED)
     trainer = _Trainer(cfg)
-    before = list(trainer.croppers)
+    before = trainer.croppers
     trainer.step(0)
 
     # The step's forward rebuilt from a fresh trainer: the same draws.
     fresh = _Trainer(cfg)
     clips = make_synthetic_batch(fresh.data_rng, cfg.batch_size, cfg.input_shape)
-    noises = [sample_noise(rng, cfg.batch_size, cfg.noise_dim) for rng in fresh.noise_rngs]
+    noises = np.stack([sample_noise(rng, cfg.batch_size, cfg.noise_dim)
+                       for rng in fresh.noise_rngs])
 
     def forward(croppers):
-        units, caches = generate(noises, croppers)
+        units, cache = generate(noises, croppers)
         loss, _, tape = chain_forward(units, clips, cfg.bounds, fresh.crop_grid,
                                       fresh.encoder, cfg.loss_cfg, False)
-        return loss, units, caches, tape
+        return loss, units, cache, tape
 
-    _, units, caches, tape = forward(fresh.croppers)
+    _, units, cache, tape = forward(fresh.croppers)
     _, grids = crop_grids(units, cfg.bounds, fresh.crop_grid)
     assert np.all(_grid_safe_mask(grids, cfg.input_shape[1:], margin=1e-5))
     # A step of h in one w1 entry moves a hidden pre-activation by at most h.
-    assert min(np.min(np.abs(c.hidden_pre)) for c in caches) > GLUE_H
+    assert np.min(np.abs(cache.hidden_pre)) > GLUE_H
     assert np.min(np.abs(tape[-1].conv_pre)) > 1e-4
 
     for branch in (0, 1):
         for attr in ("w1", "w2"):
             def neg_loss(w, branch=branch, attr=attr):
-                croppers = list(fresh.croppers)
-                croppers[branch] = replace(croppers[branch], **{attr: w})
-                return -forward(croppers)[0]
+                stacked = getattr(fresh.croppers, attr).copy()
+                stacked[branch] = w
+                return -forward(replace(fresh.croppers, **{attr: stacked}))[0]
 
             numeric = central_difference(
-                neg_loss, getattr(fresh.croppers[branch], attr), GLUE_H
+                neg_loss, getattr(fresh.croppers, attr)[branch], GLUE_H
             )
-            applied = (getattr(before[branch], attr)
-                       - getattr(trainer.croppers[branch], attr)) / cfg.cropper_lr
+            applied = (getattr(before, attr)[branch]
+                       - getattr(trainer.croppers, attr)[branch]) / cfg.cropper_lr
             assert max_relative_error(applied, numeric) < 1e-5, (branch, attr)

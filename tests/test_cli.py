@@ -53,6 +53,17 @@ HUGE_CROPPER_LR_CONFIG = {
     "cropper_lr": "1e300", "detach_bound": "0.0",
 }
 
+# Pass validation, but the first encoder update overflows the projection
+# weights, so the second step's projection matmul overflows.
+HUGE_ENCODER_LR_CONFIG = {
+    "steps": "3", "batch_size": "2", "input_shape": "2x4x6x6", "crop_shape": "3x3x3",
+    "encoder_lr": "1e300",
+}
+RANDOM_TINY_TEMPERATURE_CONFIG = {
+    "steps": "3", "batch_size": "2", "input_shape": "2x4x6x6", "crop_shape": "3x3x3",
+    "strategy": "random", "temperature": "1e-300",
+}
+
 # Passes validation, but one input grid would need 10^15 float64 (x, y, t)
 # triples; numpy refuses the request without touching memory.
 UNALLOCATABLE_CLIP_CONFIG = (
@@ -128,7 +139,7 @@ class TestTrain:
     def test_from_manifest_reproduces_run(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["train", "--config", str(config_path), "--out", str(out_a)])
-        code = main(["train", "--from-manifest", str(out_a / "manifest.txt"),
+        code = main(["train", "--config", str(out_a / "manifest.txt"),
                      "--out", str(out_b)])
         assert code == 0
         assert (out_a / "metrics.csv").read_bytes() == \
@@ -223,8 +234,10 @@ class TestErrorPaths:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "pairs", [TINY_TEMPERATURE_CONFIG, HUGE_CROPPER_LR_CONFIG],
-        ids=["embedding_norm", "generator_logits"],
+        "pairs", [TINY_TEMPERATURE_CONFIG, HUGE_CROPPER_LR_CONFIG,
+                  HUGE_ENCODER_LR_CONFIG, RANDOM_TINY_TEMPERATURE_CONFIG],
+        ids=["embedding_norm", "generator_logits", "encoder_projection",
+             "random_embedding_norm"],
     )
     def test_overflow_exits_3_without_runtime_warnings(self, tmp_path, pairs):
         path = tmp_path / "bad.cfg"
@@ -234,8 +247,9 @@ class TestErrorPaths:
             code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("flag", ["--config", "--from-manifest"])
+    @pytest.mark.parametrize("flag", ["--config"])
     def test_undecodable_config_exits_2(self, tmp_path, flag, caplog):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"\xffsteps = 3\n")
@@ -256,6 +270,7 @@ class TestErrorPaths:
         assert code == 4
         messages = [r.getMessage() for r in caplog.records]
         assert [m.split(":")[0] for m in messages] == ["out of memory"]
+        assert not (tmp_path / "run").exists()
 
     def test_bad_thread_env_exits_2(self, tmp_path, config_path, monkeypatch):
         monkeypatch.setenv("PARAMCROP_THREADS", "zero")
@@ -303,6 +318,32 @@ class TestSweepDetach:
         assert len(lines) == 3
         assert lines[1].startswith("0,")
         assert lines[2].startswith("0.5,")
+
+
+class TestManifestReplay:
+    """``--config`` reads any command's run manifest and replays that run."""
+
+    @pytest.mark.parametrize("argv, written", [
+        (["compare", "--strategies", "simple,paramcrop"], "compare.csv"),
+        (["sweep-detach", "--bounds", "0.0,0.5"], "sweep.csv"),
+    ], ids=["compare", "sweep-detach"])
+    def test_manifest_replays_byte_identically(self, tmp_path, config_path,
+                                               argv, written):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main([*argv, "--config", str(config_path), "--out", str(first)]) == 0
+        manifest = first / "manifest.txt"
+        assert main([*argv, "--config", str(manifest), "--out", str(replay)]) == 0
+        assert (replay / written).read_bytes() == (first / written).read_bytes()
+        assert (replay / "manifest.txt").read_bytes() == manifest.read_bytes()
+
+    @pytest.mark.parametrize("extra", ["", "command = inspect\n"],
+                             ids=["no_command", "unknown_command"])
+    def test_manifest_keys_outside_a_manifest_exit_2(self, tmp_path, config_path,
+                                                     extra):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_path.read_text() + "version = 0.1.0\n" + extra)
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run").exists()
 
 
 TWENTY_STEP_CONFIG = TINY_CONFIG.replace("steps = 3\n", "steps = 20\n")
@@ -424,6 +465,7 @@ _EDGE_CONFIGS = st.fixed_dictionaries(
         "baseline_jitter": _texts(0.0, 0.5),
         "manual_breakpoint": _texts(0.0, 0.999),
         "cropper_lr": _texts(0.05, 1e300),
+        "encoder_lr": _texts(0.05, 1e300),
         "temperature": _texts(1e-300, 0.1),
     },
 )
@@ -456,9 +498,9 @@ class TestConfigProperty:
             # An exception escaping main would reach the user as a traceback.
             code = main(["train", "--config", str(path), "--out", str(base / "edge")])
         assert code in (0, 2, 3)
-        # A run that succeeds must not have overflowed on the way.
-        if code == 0:
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # No run overflows on the way silently, and a failed one exits with
+        # only its error line.
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSvg:
@@ -466,7 +508,7 @@ class TestSvg:
         records = np.array([(0, 1.0, np.nan, np.nan, np.nan, *[0.5] * 6),
                             (1, 0.9, np.nan, np.nan, np.nan, *[0.5] * 6)],
                            dtype=RECORD_DTYPE)
-        svg = render_svg(records, total_steps=2)
+        svg = render_svg(records)
         assert svg.count("<polyline") == 1  # only the loss panel has points
         assert "nan" not in svg
 

@@ -99,9 +99,10 @@ class TestChainReversal:
         inst = build_chain_instance(np.random.SeedSequence(99))
         plain = chain_cropper_grads(inst, reverse=False)
         flipped = chain_cropper_grads(inst, reverse=True)
-        assert len(plain) == len(flipped) == 2  # one entry per generator
-        for p, f in zip(plain, flipped):
-            (p1, p2), (f1, f2) = (p["w1"], p["w2"]), (f["w1"], f["w2"])
+        assert len(plain["w1"]) == len(flipped["w1"]) == 2  # one entry per generator
+        for branch in (0, 1):
+            p1, p2 = plain["w1"][branch], plain["w2"][branch]
+            f1, f2 = flipped["w1"][branch], flipped["w2"][branch]
             np.testing.assert_array_equal(f1, -p1)
             np.testing.assert_array_equal(f2, -p2)
             assert np.any(p1 != 0.0) and np.any(p2 != 0.0)

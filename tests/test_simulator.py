@@ -364,7 +364,7 @@ class TestShortRuns:
 
     def test_adversary_artifacts_present(self, tiny_result):
         assert tiny_result.croppers is not None
-        assert len(tiny_result.croppers) == 2
+        assert len(tiny_result.croppers.w1) == len(tiny_result.croppers.w2) == 2
         assert len(tiny_result.cropper_grad_max) == TINY.steps
         assert all(g >= 0.0 for g in tiny_result.cropper_grad_max)
 
@@ -373,8 +373,8 @@ class TestShortRuns:
         assert render_csv(again.records) == render_csv(tiny_result.records)
         np.testing.assert_array_equal(again.encoder.conv_weight,
                                       tiny_result.encoder.conv_weight)
-        np.testing.assert_array_equal(again.croppers[0].w1,
-                                      tiny_result.croppers[0].w1)
+        np.testing.assert_array_equal(again.croppers.w1[0],
+                                      tiny_result.croppers.w1[0])
 
     def test_seed_changes_trajectory(self, tiny_result):
         other = run_training(replace(TINY, seed=6))
