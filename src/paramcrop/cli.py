@@ -2,7 +2,8 @@
 
 Configs are flat ``key = value`` text files (see TrainConfig for the keys);
 every run directory receives a manifest embedding the exact effective config,
-and ``--config`` also reads a manifest, so it replays that run byte-for-byte.
+and ``--config`` also reads a manifest, so it replays that run byte-for-byte
+with no other flag (``compare`` and ``sweep-detach`` reuse its list).
 A run directory is created only once the runs have returned: a failed run
 leaves none, and an unwritable ``--out`` exits 4 after the runs.
 
@@ -47,6 +48,11 @@ _MANIFEST_ONLY_KEYS = {
     "version", "command", "metrics_csv", "plot_svg", "compare_csv",
     "sweep_csv", "strategies", "detach_bounds",
 }
+# A multi-run command's list flag: its manifest key (the flag's dest) and default.
+_LIST_FLAGS = {
+    "compare": ("strategies", "paramcrop,random,simple,hard,manual"),
+    "sweep-detach": ("detach_bounds", "0.0,0.2,0.5"),
+}
 
 
 def _thread_count() -> int:
@@ -77,6 +83,12 @@ def _load_config(args: argparse.Namespace) -> TrainConfig:
             pairs = parse_kv(Path(args.config).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from exc
+    # An unset list flag takes the list a manifest of this command records, or
+    # its default (no other manifest holds the key; a config file is rejected).
+    if args.command in _LIST_FLAGS:
+        key, default = _LIST_FLAGS[args.command]
+        if getattr(args, key) is None:
+            setattr(args, key, pairs.get(key, default))
     if pairs.get("command") in _MANIFEST_COMMANDS:
         pairs = {k: v for k, v in pairs.items() if k not in _MANIFEST_ONLY_KEYS}
     cfg = config_from_pairs(pairs)
@@ -236,7 +248,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep_detach(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     try:
-        bounds = [float(b) for b in args.bounds.split(",") if b.strip()]
+        bounds = [float(b) for b in args.detach_bounds.split(",") if b.strip()]
     except ValueError as exc:
         raise ConfigError(f"--bounds: expected comma-separated floats: {exc}")
     if not bounds:
@@ -312,15 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="run several crop strategies under one seed")
     _add_run_flags(p)
-    p.add_argument("--strategies", default="paramcrop,random,simple,hard,manual",
-                   help="comma-separated strategy names")
+    p.add_argument("--strategies", help="comma-separated strategy names "
+                   "(default: a compare manifest's, else all five)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep-detach",
                        help="run the same config across detach bounds")
     _add_run_flags(p)
-    p.add_argument("--bounds", default="0.0,0.2,0.5",
-                   help="comma-separated detach bounds")
+    p.add_argument("--bounds", dest="detach_bounds", help="comma-separated detach "
+                   "bounds (default: a sweep-detach manifest's, else 0.0,0.2,0.5)")
     p.set_defaults(func=cmd_sweep_detach)
     return parser
 

@@ -1,9 +1,11 @@
 """Central-difference verification of every hand-written backward pass.
 
-Each check family builds a small random problem, computes the analytic
-gradient, then re-derives it numerically by perturbing one input at a time
-(h = 1e-6, float64 throughout).  The reported figure is the worst absolute
-deviation normalised by the gradient's own magnitude::
+Every check family is a screened random instance whose analytic gradient,
+computed once, is checked by ``_weights_error`` (field-keyed weights) or
+``_input_error`` (one input array), which re-derive it numerically by
+perturbing one entry at a time (h = 1e-6, float64 throughout).  The reported
+figure is the worst absolute deviation normalised by the gradient's own
+magnitude::
 
     err = max|analytic - numeric| / max(max|analytic|, max|numeric|, 1e-12)
 
@@ -116,6 +118,11 @@ def _weights_error(weights, grads: dict[str, np.ndarray], loss,
     return worst
 
 
+def _input_error(analytic: np.ndarray, loss, x: np.ndarray, keep=...) -> float:
+    """Error of *analytic*, the gradient of ``loss`` at *x*, on its *keep* entries."""
+    return max_relative_error(analytic[keep], central_difference(loss, x)[keep])
+
+
 def _screened(seed_seq: np.random.SeedSequence, build, what: str):
     """The first non-None ``build(rng)``, one spawned child seed per try."""
     for child in seed_seq.spawn(_MAX_REBUILDS):
@@ -160,15 +167,14 @@ def check_sampler_grid(seed_seq: np.random.SeedSequence) -> float:
     grid = rng.uniform(-1.05, 1.05, size=(1, 1, 3, 4, 5, 3))
     weight = rng.normal(size=(1, 2, 3, 4, 5))
     analytic = sample_backward(weight, sample(video, grid)[1]).reshape(grid.shape)
+    # Comparisons are only fair where no perturbation can cross a cell edge
+    # or the clamp threshold.
+    safe = _grid_safe_mask(grid[0], video.shape[2:], margin=1e-4)[None]
 
     def objective(g):
         return float(np.sum(weight * resample(video, g)))
 
-    numeric = central_difference(objective, grid)
-    # Comparisons are only fair where no perturbation can cross a cell edge
-    # or the clamp threshold.
-    safe = _grid_safe_mask(grid[0], video.shape[2:], margin=1e-4)[None]
-    return max_relative_error(analytic[safe], numeric[safe])
+    return _input_error(analytic, objective, grid, keep=safe)
 
 
 def check_interval_map(seed_seq: np.random.SeedSequence) -> float:
@@ -181,14 +187,12 @@ def check_interval_map(seed_seq: np.random.SeedSequence) -> float:
     )
     unit = rng.random((1, 6))
     weight = rng.normal(size=(1, 6))
-    full_mask = np.ones((1, 6), dtype=bool)
-    analytic = clamp_params_backward(weight, unit, bounds, full_mask)
+    analytic = clamp_params_backward(weight, unit, bounds, np.ones((1, 6), dtype=bool))
 
     def objective(v):
         return float(np.vdot(weight, clamp_params(v, bounds)))
 
-    numeric = central_difference(objective, unit)
-    return max_relative_error(analytic, numeric)
+    return _input_error(analytic, objective, unit)
 
 
 def check_grid_transform(seed_seq: np.random.SeedSequence) -> float:
@@ -196,23 +200,14 @@ def check_grid_transform(seed_seq: np.random.SeedSequence) -> float:
     rng = np.random.default_rng(seed_seq)
     grid = rng.uniform(-1.0, 1.0, size=(2, 3, 4, 3))
     weight = rng.normal(size=grid.shape)
-    params = np.array(
-        [[
-            rng.uniform(0.4, 0.9),
-            rng.uniform(0.4, 0.9),
-            rng.uniform(-0.7, 0.7),
-            rng.uniform(-0.3, 0.3),
-            rng.uniform(-0.3, 0.3),
-            rng.uniform(-0.3, 0.3),
-        ]]
-    )
+    params = rng.uniform([0.4, 0.4, -0.7, -0.3, -0.3, -0.3],
+                         [0.9, 0.9, 0.7, 0.3, 0.3, 0.3])[None]
     analytic = transform_grid_backward(weight[None], grid, params)
 
     def objective(p):
         return float(np.sum(weight * transform_grid(grid, build_affine_matrix(p))))
 
-    numeric = central_difference(objective, params)
-    return max_relative_error(analytic, numeric)
+    return _input_error(analytic, objective, params)
 
 
 def check_nt_xent(seed_seq: np.random.SeedSequence) -> float:
@@ -221,38 +216,33 @@ def check_nt_xent(seed_seq: np.random.SeedSequence) -> float:
     num_samples = int(rng.integers(2, 5))
     cfg = LossConfig(temperature=0.1, num_samples=num_samples)
     emb = rng.normal(size=(2 * num_samples, 6))
-    analytic = nt_xent_backward(emb, cfg)
+    return _input_error(nt_xent_backward(emb, cfg), lambda e: nt_xent(e, cfg), emb)
 
-    def objective(e):
-        return nt_xent(e, cfg)
 
-    numeric = central_difference(objective, emb)
-    return max_relative_error(analytic, numeric)
+def _encoder_is_smooth(cache, margin: float) -> bool:
+    """ReLU pre-activations clear of zero by *margin*, embedding norms above 1e-3."""
+    return np.min(np.abs(cache.conv_pre)) > margin and np.min(cache.norm) > 1e-3
 
 
 def _encoder_instance(rng: np.random.Generator):
     enc = ToyEncoder.initialise(rng, in_channels=2, conv_channels=3, embed_dim=5)
     video = rng.normal(size=(1, 2, 4, 6, 5))
     _, cache = encode(video, enc)
-    if np.min(np.abs(cache.conv_pre)) > 3e-5 and np.min(cache.norm) > 1e-3:
-        return enc, video, rng
+    if _encoder_is_smooth(cache, margin=3e-5):
+        return enc, video, cache, rng.normal(size=(1, enc.embed_dim))
     return None
 
 
 def check_encoder(seed_seq: np.random.SeedSequence) -> float:
     """Encoder embedding w.r.t. all weights and the input clip."""
-    enc, video, rng = _screened(seed_seq, _encoder_instance, "encoder")
-    weight = rng.normal(size=(1, enc.embed_dim))
-    _, cache = encode(video, enc)
+    enc, video, cache, weight = _screened(seed_seq, _encoder_instance, "encoder")
     grads, grad_video = encode_backward(weight, cache, enc)
 
     def objective(x, e):
-        emb, _ = encode(x, e)
-        return float(np.sum(weight * emb))
+        return float(np.sum(weight * encode(x, e)[0]))
 
-    worst = _weights_error(enc, grads, lambda e: objective(video, e))
-    numeric = central_difference(lambda x: objective(x, enc), video)
-    return max(worst, max_relative_error(grad_video, numeric))
+    return max(_weights_error(enc, grads, lambda e: objective(video, e)),
+               _input_error(grad_video, lambda x: objective(x, enc), video))
 
 
 def _mlp_instance(rng: np.random.Generator):
@@ -260,21 +250,15 @@ def _mlp_instance(rng: np.random.Generator):
     noise = rng.random((1, 5))
     _, cache = mlp_forward(noise, state)
     if np.min(np.abs(cache.hidden_pre)) > 1e-5:
-        return state, noise, rng
+        return state, noise, cache, rng.normal(size=(1, 6))
     return None
 
 
 def check_generator_mlp(seed_seq: np.random.SeedSequence) -> float:
     """Generator unit-params w.r.t. both weight matrices."""
-    state, noise, rng = _screened(seed_seq, _mlp_instance, "generator")
-    weight = rng.normal(size=(1, 6))
-    _, cache = mlp_forward(noise, state)
-
-    def objective(s):
-        out, _ = mlp_forward(noise, s)
-        return float(np.vdot(weight, out))
-
-    return _weights_error(state, mlp_backward(weight, cache, state), objective)
+    state, noise, cache, weight = _screened(seed_seq, _mlp_instance, "generator")
+    return _weights_error(state, mlp_backward(weight, cache, state),
+                          lambda s: float(np.vdot(weight, mlp_forward(noise, s)[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +306,8 @@ def chain_cropper_grads(
     output exactly as the adversarial training step does.
     """
     _, tape, units, cache = _chain_forward(inst, inst.croppers, backward=True)
-    _, grad_units = chain_backward(
-        tape, apply_early_stop(units, inst.bounds.detach_bound),
-        inst.bounds, inst.crop_grid, inst.encoder, inst.loss_cfg,
-    )
+    mask = apply_early_stop(units, inst.bounds.detach_bound)
+    _, grad_units = chain_backward(tape, mask)
     if reverse:
         grad_units = reverse_gradient(grad_units)
     return generate_backward(grad_units, cache, inst.croppers)
@@ -363,28 +345,18 @@ def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
             videos=videos, encoder=encoder, croppers=croppers, noises=noises,
             bounds=bounds, crop_grid=crop_grid, loss_cfg=loss_cfg,
         )
-        if _chain_is_smooth(inst) and _chain_is_well_conditioned(inst):
-            return inst
-        return None
+        _, tape, units, cache = _chain_forward(inst, croppers, backward=False)
+        _, grids = crop_grids(units, bounds, crop_grid)
+        if not (np.all(_grid_safe_mask(grids, videos.shape[2:], margin=1e-5))
+                and np.min(np.abs(cache.hidden_pre)) > 1e-5
+                and _encoder_is_smooth(tape[-1], margin=1e-5)):
+            return None
+        # Every branch's own gradient scale of every field must be healthy.
+        grads = chain_cropper_grads(inst).values()
+        scale = min(np.min(np.max(np.abs(g), axis=(1, 2))) for g in grads)
+        return inst if scale > 2e-3 else None
 
     return _screened(seed_seq, build, "chain")
-
-
-def _chain_is_well_conditioned(inst: ChainInstance) -> bool:
-    # Every branch's own gradient scale of every field must be healthy.
-    grads = chain_cropper_grads(inst).values()
-    return min(np.min(np.max(np.abs(g), axis=(1, 2))) for g in grads) > 2e-3
-
-
-def _chain_is_smooth(inst: ChainInstance) -> bool:
-    _, tape, units, cache = _chain_forward(inst, inst.croppers, backward=False)
-    _, grids = crop_grids(units, inst.bounds, inst.crop_grid)
-    if not np.all(_grid_safe_mask(grids, inst.videos.shape[2:], margin=1e-5)):
-        return False
-    if np.min(np.abs(cache.hidden_pre)) <= 1e-5:
-        return False
-    enc_cache = tape[-1]
-    return np.min(np.abs(enc_cache.conv_pre)) > 1e-5 and np.min(enc_cache.norm) > 1e-3
 
 
 def check_full_chain(seed_seq: np.random.SeedSequence) -> float:

@@ -330,10 +330,10 @@ class TrainConfig:
                 raise ConfigError(f"{f.name}: must be finite, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.steps < 1:
-            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
+        for name in ("steps", "batch_size", "noise_dim", "hidden_dim", "embed_dim",
+                     "conv_channels", "probe_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"strategy: unknown value '{self.strategy}' "
@@ -369,13 +369,6 @@ class TrainConfig:
             angle_range=(self.angle_min, self.angle_max),
             detach_bound=self.detach_bound,
         ))
-        for name in ("noise_dim", "hidden_dim", "embed_dim", "conv_channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.probe_samples < 1:
-            raise ConfigError(
-                f"probe_samples: must be >= 1, got {self.probe_samples}"
-            )
         if not 0.0 <= self.baseline_jitter <= 0.5:
             raise ConfigError(
                 f"baseline_jitter: must lie in [0, 0.5], got {self.baseline_jitter}"
@@ -506,8 +499,9 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
 
     *clips* are N clips (both views of clip ``k`` read clip ``k``) or one per
     row, and are released once sampled.  *params* are the (2N, 6) physical
-    params; *tape* is ``(units, params, jacobian, embeddings, enc_cache)``,
-    and its jacobian, which the unit gradient needs, is None unless *backward*.
+    params; *tape* is ``(bounds, crop_grid, encoder, loss_cfg, units, params,
+    jacobian, embeddings, enc_cache)``, and its jacobian, which the unit
+    gradient needs, is None unless *backward*.
     """
     params, grids = crop_grids(units, bounds, crop_grid)
     views = grids.reshape((len(clips), -1) + grids.shape[1:])
@@ -519,17 +513,18 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
     del clips, views
     embeddings, enc_cache = encode(crops, encoder)
     loss = nt_xent(embeddings, loss_cfg)
-    return loss, params, (units, params, jacobian, embeddings, enc_cache)
+    return loss, params, (bounds, crop_grid, encoder, loss_cfg, units, params,
+                          jacobian, embeddings, enc_cache)
 
 
-def chain_backward(tape, mask: np.ndarray | None, bounds: ParamBounds,
-                   crop_grid: np.ndarray, encoder: ToyEncoder, loss_cfg: LossConfig):
-    """Encoder gradients and the (2N, 6) unit gradient of the loss.
+def chain_backward(tape, mask: np.ndarray | None):
+    """Encoder gradients and the (2N, 6) unit gradient of the loss on *tape*.
 
     The unit gradient passes through *mask* (the detach band), is not
     reversed, and is zero when the forward ran without a jacobian.
     """
-    units, params, jacobian, embeddings, enc_cache = tape
+    (bounds, crop_grid, encoder, loss_cfg, units, params, jacobian,
+     embeddings, enc_cache) = tape
     grad_rows = nt_xent_backward(embeddings, loss_cfg)
     enc_grads, grad_crops = encode_backward(
         grad_rows, enc_cache, encoder, input_grad=jacobian is not None
@@ -684,9 +679,7 @@ class _Trainer:
                 f"mean={units.mean():.6g} min={units.min():.6g} "
                 f"max={units.max():.6g}"
             )
-        enc_grads, grad_units = chain_backward(
-            tape, masks, cfg.bounds, self.crop_grid, self.encoder, cfg.loss_cfg
-        )
+        enc_grads, grad_units = chain_backward(tape, masks)
         self.encoder = update_weights(
             self.encoder, enc_grads, self.enc_opt, step_index=index
         )

@@ -323,16 +323,20 @@ class TestSweepDetach:
 class TestManifestReplay:
     """``--config`` reads any command's run manifest and replays that run."""
 
-    @pytest.mark.parametrize("argv, written", [
-        (["compare", "--strategies", "simple,paramcrop"], "compare.csv"),
-        (["sweep-detach", "--bounds", "0.0,0.5"], "sweep.csv"),
-    ], ids=["compare", "sweep-detach"])
+    @pytest.mark.parametrize("argv, written, replay_flags", [
+        (["compare", "--strategies", "simple,paramcrop"], "compare.csv", True),
+        (["sweep-detach", "--bounds", "0.0,0.5"], "sweep.csv", True),
+        # With no list flag, the replay runs the list its manifest records.
+        (["compare", "--strategies", "simple,paramcrop"], "compare.csv", False),
+        (["sweep-detach", "--bounds", "0.0,0.5"], "sweep.csv", False),
+    ], ids=["compare", "sweep-detach", "compare-no-flag", "sweep-detach-no-flag"])
     def test_manifest_replays_byte_identically(self, tmp_path, config_path,
-                                               argv, written):
+                                               argv, written, replay_flags):
         first, replay = tmp_path / "first", tmp_path / "replay"
         assert main([*argv, "--config", str(config_path), "--out", str(first)]) == 0
         manifest = first / "manifest.txt"
-        assert main([*argv, "--config", str(manifest), "--out", str(replay)]) == 0
+        replay_argv = argv if replay_flags else argv[:1]
+        assert main([*replay_argv, "--config", str(manifest), "--out", str(replay)]) == 0
         assert (replay / written).read_bytes() == (first / written).read_bytes()
         assert (replay / "manifest.txt").read_bytes() == manifest.read_bytes()
 

@@ -74,6 +74,29 @@ class TestFamilies:
             worst = max(worst, fn(ss))
         assert worst < gradcheck.DEFAULT_TOLERANCE, name
 
+    @pytest.mark.parametrize("name, backward", [
+        ("sampler_grid", "sample_backward"),
+        ("interval_map", "clamp_params_backward"),
+        ("grid_transform", "transform_grid_backward"),
+        ("nt_xent", "nt_xent_backward"),
+        ("encoder", "encode_backward"),
+        ("generator_mlp", "mlp_backward"),
+        ("full_chain", "generate_backward"),
+    ])
+    def test_family_fails_on_a_scaled_backward(self, monkeypatch, name, backward):
+        # A check that compared the analytic gradient with itself would pass.
+        def scaled(out):
+            if isinstance(out, dict):
+                return {key: scaled(value) for key, value in out.items()}
+            if isinstance(out, tuple):
+                return tuple(scaled(value) for value in out)
+            return 1.001 * out
+
+        original = getattr(gradcheck, backward)
+        monkeypatch.setattr(gradcheck, backward,
+                            lambda *args, **kwargs: scaled(original(*args, **kwargs)))
+        assert CHECK_FAMILIES[name](np.random.SeedSequence(314)) > 1e-4
+
     def test_family_names_cover_every_checked_path(self):
         assert set(CHECK_FAMILIES) == {
             "sampler_grid", "interval_map", "grid_transform", "nt_xent",
