@@ -3,7 +3,9 @@
 Configs are flat ``key = value`` text files (see TrainConfig for the keys);
 every run directory receives a manifest embedding the exact effective config,
 and ``--config`` also reads a manifest, so it replays that run byte-for-byte
-with no other flag (``compare`` and ``sweep-detach`` reuse its list).
+with no other flag (``compare`` and ``sweep-detach`` reuse its list).  Each
+entry of a list flag is parsed as a config value of its field, and the
+manifest records the list as the config would write it.
 A run directory is created only once the runs have returned: a failed run
 leaves none, and an unwritable ``--out`` exits 4 after the runs.
 
@@ -48,10 +50,11 @@ _MANIFEST_ONLY_KEYS = {
     "version", "command", "metrics_csv", "plot_svg", "compare_csv",
     "sweep_csv", "strategies", "detach_bounds",
 }
-# A multi-run command's list flag: its manifest key (the flag's dest) and default.
+# A multi-run command's list flag: its manifest key (the flag's dest), the
+# config field each entry sets, and its default.
 _LIST_FLAGS = {
-    "compare": ("strategies", "paramcrop,random,simple,hard,manual"),
-    "sweep-detach": ("detach_bounds", "0.0,0.2,0.5"),
+    "compare": ("strategies", "strategy", "paramcrop,random,simple,hard,manual"),
+    "sweep-detach": ("detach_bounds", "detach_bound", "0.0,0.2,0.5"),
 }
 
 
@@ -80,13 +83,13 @@ def _load_config(args: argparse.Namespace) -> TrainConfig:
     pairs: dict[str, str] = {}
     if args.config:
         try:
-            pairs = parse_kv(Path(args.config).read_text(encoding="utf-8"))
+            pairs = parse_kv(Path(args.config).read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from exc
     # An unset list flag takes the list a manifest of this command records, or
     # its default (no other manifest holds the key; a config file is rejected).
     if args.command in _LIST_FLAGS:
-        key, default = _LIST_FLAGS[args.command]
+        key, _, default = _LIST_FLAGS[args.command]
         if getattr(args, key) is None:
             setattr(args, key, pairs.get(key, default))
     if pairs.get("command") in _MANIFEST_COMMANDS:
@@ -95,6 +98,16 @@ def _load_config(args: argparse.Namespace) -> TrainConfig:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
+
+
+def _list_configs(args: argparse.Namespace, cfg: TrainConfig):
+    """One config per entry of the command's list flag, and its manifest entry."""
+    key, field, _ = _LIST_FLAGS[args.command]
+    configs = [config_from_pairs({field: text}, base=cfg)
+               for text in getattr(args, key).split(",") if text.strip()]
+    if not configs:
+        raise ConfigError(f"{key}: need at least one value")
+    return configs, {key: ",".join(config_to_pairs(c)[field] for c in configs)}
 
 
 def _tail_means(records: np.ndarray) -> tuple[float, float]:
@@ -219,26 +232,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if not strategies:
-        raise ConfigError("--strategies: need at least one strategy name")
-    configs = [replace(cfg, strategy=s) for s in strategies]  # validates names
+    configs, listed = _list_configs(args, cfg)
     results = _run_many(configs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["strategy," + CSV_HEADER]
-    for strategy, result in zip(strategies, results):
-        lines.extend(f"{strategy},{row}"
+    for result in results:
+        lines.extend(f"{result.config.strategy},{row}"
                      for row in render_csv(result.records).splitlines()[1:])
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out_dir, "compare", cfg,
-        {"compare_csv": "compare.csv", "strategies": ",".join(strategies)},
-    )
-    for strategy, result in zip(strategies, results):
+    _write_manifest(out_dir, "compare", cfg, {"compare_csv": "compare.csv", **listed})
+    for result in results:
         iou, dist = _tail_means(result.records)
         print(
-            f"{strategy}: final iou={format_float(iou)} "
+            f"{result.config.strategy}: final iou={format_float(iou)} "
             f"dist_norm={format_float(dist)}"
         )
     print(f"wrote {out_dir / 'compare.csv'}")
@@ -247,23 +254,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep_detach(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    try:
-        bounds = [float(b) for b in args.detach_bounds.split(",") if b.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--bounds: expected comma-separated floats: {exc}")
-    if not bounds:
-        raise ConfigError("--bounds: need at least one value")
-    configs = [replace(cfg, detach_bound=b) for b in bounds]  # validates range
+    configs, listed = _list_configs(args, cfg)
     results = _run_many(configs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["b_detach,probe_iou,probe_dist_norm,last_iou,last_dist_norm"]
-    for bound, result in zip(bounds, results):
+    for result in results:
         iou, dist = _tail_means(result.records)
         lines.append(
             ",".join(
                 [
-                    format_float(bound),
+                    format_float(result.config.detach_bound),
                     format_float(result.probe_iou),
                     format_float(result.probe_dist_norm),
                     format_float(iou),
@@ -272,11 +273,7 @@ def cmd_sweep_detach(args: argparse.Namespace) -> int:
             )
         )
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out_dir, "sweep-detach", cfg,
-        {"sweep_csv": "sweep.csv",
-         "detach_bounds": ",".join(format_float(b) for b in bounds)},
-    )
+    _write_manifest(out_dir, "sweep-detach", cfg, {"sweep_csv": "sweep.csv", **listed})
     print(f"wrote {out_dir / 'sweep.csv'}")
     return 0
 

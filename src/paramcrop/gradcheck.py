@@ -35,7 +35,6 @@ import numpy as np
 
 from .affine import (
     ParamBounds,
-    apply_early_stop,
     build_affine_matrix,
     clamp_params,
     clamp_params_backward,
@@ -273,28 +272,28 @@ class ChainInstance:
     videos: np.ndarray  # (num_samples, C, T, H, W)
     encoder: ToyEncoder
     croppers: CropperState  # the pair, stacked on the branch axis
-    noises: np.ndarray  # (num_samples, 2, noise_dim)
+    noises: np.ndarray  # (2 * num_samples, noise_dim), in 2k + branch order
     bounds: ParamBounds
     crop_grid: np.ndarray
     loss_cfg: LossConfig
 
 
-def _chain_forward(inst: ChainInstance, croppers, backward: bool):
+def _chain_forward(inst: ChainInstance, croppers, learn: bool):
     """The training step's forward on *inst*: ``(loss, tape, units, mlp_cache)``.
 
-    The sampler jacobian is computed only with *backward*; the numerical
-    side of the checks never runs a backward.
+    *learn* is ``chain_forward``'s: the numerical side of the checks passes
+    False, since it never runs a backward.
     """
-    units, cache = generate(inst.noises.swapaxes(0, 1), croppers)
+    units, cache = generate(inst.noises, croppers)
     loss, _, tape = chain_forward(
         units, inst.videos, inst.bounds, inst.crop_grid, inst.encoder,
-        inst.loss_cfg, backward,
+        inst.loss_cfg, learn,
     )
     return loss, tape, units, cache
 
 
 def chain_loss(inst: ChainInstance, croppers=None) -> float:
-    return _chain_forward(inst, croppers or inst.croppers, backward=False)[0]
+    return _chain_forward(inst, croppers or inst.croppers, learn=False)[0]
 
 
 def chain_cropper_grads(
@@ -305,16 +304,17 @@ def chain_cropper_grads(
     With ``reverse=True`` the gradient is sign-flipped at the generator
     output exactly as the adversarial training step does.
     """
-    _, tape, units, cache = _chain_forward(inst, inst.croppers, backward=True)
-    mask = apply_early_stop(units, inst.bounds.detach_bound)
-    _, grad_units = chain_backward(tape, mask)
+    _, tape, _, cache = _chain_forward(inst, inst.croppers, learn=True)
+    _, grad_units = chain_backward(tape)
     if reverse:
         grad_units = reverse_gradient(grad_units)
     return generate_backward(grad_units, cache, inst.croppers)
 
 
-def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
-    """Build a tiny chain whose loss is locally smooth in the weights.
+def build_chain_instance(
+    seed_seq: np.random.SeedSequence,
+) -> tuple[ChainInstance, dict[str, np.ndarray]]:
+    """``(inst, chain_cropper_grads(inst))`` of a tiny chain, smooth in the weights.
 
     Generator weights are initialised larger than in training (0.3 rather
     than 0.01), and draws whose weight gradients fall below ~2e-3 are
@@ -332,7 +332,7 @@ def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
     crop_grid = generate_grid(4, 5, 5)
     loss_cfg = LossConfig(temperature=0.05, num_samples=2)
 
-    def build(rng: np.random.Generator) -> ChainInstance | None:
+    def build(rng: np.random.Generator):
         videos = make_synthetic_batch(rng, 2, (2, 8, 10, 10))
         encoder = ToyEncoder.initialise(
             rng, in_channels=2, conv_channels=3, embed_dim=6
@@ -340,29 +340,29 @@ def build_chain_instance(seed_seq: np.random.SeedSequence) -> ChainInstance:
         croppers = CropperState.stacked(
             (rng, rng), noise_dim=6, hidden_dim=8, init_scale=0.3
         )
-        noises = rng.random((2, 2, 6))
+        noises = rng.random((4, 6))
         inst = ChainInstance(
             videos=videos, encoder=encoder, croppers=croppers, noises=noises,
             bounds=bounds, crop_grid=crop_grid, loss_cfg=loss_cfg,
         )
-        _, tape, units, cache = _chain_forward(inst, croppers, backward=False)
+        _, tape, units, cache = _chain_forward(inst, croppers, learn=False)
         _, grids = crop_grids(units, bounds, crop_grid)
         if not (np.all(_grid_safe_mask(grids, videos.shape[2:], margin=1e-5))
                 and np.min(np.abs(cache.hidden_pre)) > 1e-5
                 and _encoder_is_smooth(tape[-1], margin=1e-5)):
             return None
         # Every branch's own gradient scale of every field must be healthy.
-        grads = chain_cropper_grads(inst).values()
-        scale = min(np.min(np.max(np.abs(g), axis=(1, 2))) for g in grads)
-        return inst if scale > 2e-3 else None
+        grads = chain_cropper_grads(inst)
+        scale = min(np.min(np.max(np.abs(g), axis=(1, 2))) for g in grads.values())
+        return (inst, grads) if scale > 2e-3 else None
 
     return _screened(seed_seq, build, "chain")
 
 
 def check_full_chain(seed_seq: np.random.SeedSequence) -> float:
     """End-to-end: generator weights through crop, encoder and loss."""
-    inst = build_chain_instance(seed_seq)
-    return _weights_error(inst.croppers, chain_cropper_grads(inst),
+    inst, grads = build_chain_instance(seed_seq)
+    return _weights_error(inst.croppers, grads,
                           lambda croppers: chain_loss(inst, croppers), stacked=True)
 
 

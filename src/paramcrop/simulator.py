@@ -18,7 +18,8 @@ the loss, and back.  The generator pair is one stacked ``CropperState``, so
 one forward and one backward serve both branches.  That chain is four module
 functions, :func:`generate`, :func:`chain_forward`, :func:`chain_backward`
 and :func:`generate_backward`, which ``gradcheck``'s full-chain family runs
-too; the step adds the reversal, the detach mask and one
+too; :func:`chain_forward` applies the detach band when the generators learn,
+and the step adds the reversal and one
 :func:`~paramcrop.paramgen.update_weights` each for the encoder and the pair.
 The crop metrics compare the N view-A cubes with the N view-B cubes in one
 call.  The sampler hands its coordinate jacobian to the backward, so the
@@ -475,9 +476,13 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def generate(noises, croppers: CropperState) -> tuple[np.ndarray, MlpCache]:
-    """(2N, 6) unit params in 2k + branch order from (2, N, noise_dim) noise."""
-    units, cache = mlp_forward(noises, croppers)
+def generate(noise, croppers: CropperState) -> tuple[np.ndarray, MlpCache]:
+    """(2N, 6) unit params of (2N, noise_dim) noise, both in 2k + branch order.
+
+    Row ``2k + branch`` is generator ``branch`` on noise row ``2k + branch``.
+    """
+    pair_noise = noise.reshape(-1, 2, noise.shape[-1]).swapaxes(0, 1)
+    units, cache = mlp_forward(pair_noise, croppers)
     return units.swapaxes(0, 1).reshape(-1, 6), cache
 
 
@@ -494,19 +499,22 @@ def crop_grids(units: np.ndarray, bounds: ParamBounds, grid: np.ndarray):
 
 def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
                   crop_grid: np.ndarray, encoder: ToyEncoder, loss_cfg: LossConfig,
-                  backward: bool):
+                  learn: bool):
     """``(loss, params, tape)`` of the crops that (2N, 6) *units* cut from *clips*.
 
     *clips* are N clips (both views of clip ``k`` read clip ``k``) or one per
     row, and are released once sampled.  *params* are the (2N, 6) physical
     params; *tape* is ``(bounds, crop_grid, encoder, loss_cfg, units, params,
-    jacobian, embeddings, enc_cache)``, and its jacobian, which the unit
-    gradient needs, is None unless *backward*.
+    mask, jacobian, embeddings, enc_cache)``.  Its mask is the detach band's
+    if *learn* (the generators learn from this forward), else None; its
+    jacobian, which the unit gradient needs, is None unless the mask has a
+    live entry.
     """
+    mask = apply_early_stop(units, bounds.detach_bound) if learn else None
     params, grids = crop_grids(units, bounds, crop_grid)
     views = grids.reshape((len(clips), -1) + grids.shape[1:])
     del grids
-    if backward:
+    if mask is not None and mask.any():
         crops, jacobian = sample(clips, views)
     else:
         crops, jacobian = resample(clips, views), None
@@ -514,16 +522,16 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
     embeddings, enc_cache = encode(crops, encoder)
     loss = nt_xent(embeddings, loss_cfg)
     return loss, params, (bounds, crop_grid, encoder, loss_cfg, units, params,
-                          jacobian, embeddings, enc_cache)
+                          mask, jacobian, embeddings, enc_cache)
 
 
-def chain_backward(tape, mask: np.ndarray | None):
+def chain_backward(tape):
     """Encoder gradients and the (2N, 6) unit gradient of the loss on *tape*.
 
-    The unit gradient passes through *mask* (the detach band), is not
+    The unit gradient passes through the tape's detach mask, is not
     reversed, and is zero when the forward ran without a jacobian.
     """
-    (bounds, crop_grid, encoder, loss_cfg, units, params, jacobian,
+    (bounds, crop_grid, encoder, loss_cfg, units, params, mask, jacobian,
      embeddings, enc_cache) = tape
     grad_rows = nt_xent_backward(embeddings, loss_cfg)
     enc_grads, grad_crops = encode_backward(
@@ -617,8 +625,7 @@ class _Trainer:
         count = cfg.probe_samples
         if self.adversarial:
             # One stream for both branches, drawn in 2k + branch order.
-            noise = sample_noise(self.probe_rng, 2 * count, cfg.noise_dim)
-            units, _ = generate(noise.reshape(count, 2, -1).swapaxes(0, 1),
+            units, _ = generate(sample_noise(self.probe_rng, 2 * count, cfg.noise_dim),
                                 self.croppers)
         else:
             units = self._baseline(0, self.probe_rng, count)
@@ -653,24 +660,18 @@ class _Trainer:
         cfg = self.cfg
         n_pairs = cfg.batch_size
         if self.adversarial:
-            units, cache = generate(
-                np.stack([sample_noise(rng, n_pairs, cfg.noise_dim)
-                          for rng in self.noise_rngs]),
-                self.croppers,
-            )
-            masks = apply_early_stop(units, cfg.bounds.detach_bound)
+            # Each branch's stream, interleaved into 2k + branch order.
+            noise = np.stack([sample_noise(rng, n_pairs, cfg.noise_dim)
+                              for rng in self.noise_rngs], axis=1)
+            units, cache = generate(noise.reshape(-1, cfg.noise_dim), self.croppers)
         else:
-            units, masks = self._baseline(index, self.baseline_rng, n_pairs), None
-        # A detach band that masks every entry zeroes the whole cropper
-        # gradient, so then the chain skips the crop gradient and hands back
-        # zeros.
-        cropper_live = self.adversarial and bool(masks.any())
+            units = self._baseline(index, self.baseline_rng, n_pairs)
         # Built in the call, the clips have no other reference and are freed
         # after sampling (star-args would keep one).
         loss, params, tape = chain_forward(
             units, self._sources(make_synthetic_batch(
                 self.data_rng, n_pairs, cfg.input_shape)),
-            cfg.bounds, self.crop_grid, self.encoder, cfg.loss_cfg, cropper_live,
+            cfg.bounds, self.crop_grid, self.encoder, cfg.loss_cfg, self.adversarial,
         )
         metrics = crop_metrics(params) if self.metrics_enabled else (np.nan,) * 3
         if not np.isfinite(loss):
@@ -679,7 +680,7 @@ class _Trainer:
                 f"mean={units.mean():.6g} min={units.min():.6g} "
                 f"max={units.max():.6g}"
             )
-        enc_grads, grad_units = chain_backward(tape, masks)
+        enc_grads, grad_units = chain_backward(tape)
         self.encoder = update_weights(
             self.encoder, enc_grads, self.enc_opt, step_index=index
         )

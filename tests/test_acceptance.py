@@ -92,7 +92,7 @@ def test_01_gradient_fidelity_20_seeds():
 
 def test_02_reversal_is_bit_exact_negation():
     for seed in (0, 1, 2):
-        inst = build_chain_instance(np.random.SeedSequence(seed))
+        inst, _ = build_chain_instance(np.random.SeedSequence(seed))
         plain = chain_cropper_grads(inst, reverse=False)
         reversed_ = chain_cropper_grads(inst, reverse=True)
         for branch in (0, 1):

@@ -3,12 +3,13 @@
 Weight gradients (encoder, generator MLP) are summed over the rows, so there
 the R-row call matches the sum of the one-row calls.
 
-Also checks the masked-step shortcut of the training step: with a detach band
-of 0.5 every cropper gradient is masked, and the cropper weights must come out
-of a run bit-identical to their initial values.  And it checks the training
-step's glue around the shared crop chain (the reversal, the detach mask, the
-branch split and the update): one step moves each generator's weights by the
-finite-difference gradient of the negated loss.
+Also checks the masked-step shortcut of the crop chain: with a detach band of
+0.5 every cropper gradient is masked, so a learning forward computes no
+sampler jacobian, and the cropper weights must come out of a run
+bit-identical to their initial values.  And it checks the training step's glue
+around the shared crop chain (the noise interleave, the reversal and the
+update): one step moves each generator's weights by the finite-difference
+gradient of the negated loss.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from paramcrop import simulator
 from paramcrop.affine import (
     ParamBounds,
     apply_early_stop,
@@ -38,6 +40,7 @@ from paramcrop.simulator import (
     TrainConfig,
     _Trainer,
     center_manhattan,
+    chain_backward,
     chain_forward,
     crop_grids,
     generate,
@@ -152,6 +155,17 @@ class TestGenerator:
             one_grads = mlp_backward(upstream[branch], one_cache, single)
             for key in ("w1", "w2"):
                 assert grads[key][branch].tobytes() == one_grads[key].tobytes()
+
+    def test_generate_rows_match_their_branch_generator(self, rng):
+        pair = CropperState.stacked((rng, rng), noise_dim=5, hidden_dim=7,
+                                    init_scale=0.5)
+        noise = rng.random((2 * ROWS, 5))
+        units, _ = generate(noise, pair)
+        assert units.shape == (2 * ROWS, 6)
+        # Row 2k + branch is that branch's generator on that noise row.
+        for r in range(2 * ROWS):
+            single = CropperState(w1=pair.w1[r % 2], w2=pair.w2[r % 2])
+            assert_close(units[r], mlp_forward(noise[r:r + 1], single)[0][0])
 
     @pytest.mark.parametrize("shape", [
         (ROWS, 5), (1, ROWS, 5), (3, ROWS, 5), (2, 1, ROWS, 5), (2, ROWS, 4), (5,),
@@ -286,6 +300,29 @@ def test_full_detach_band_leaves_croppers_bit_identical():
         np.testing.assert_array_equal(result.croppers.w2[branch], initial.w2[branch])
 
 
+@pytest.mark.parametrize("detach_bound", [0.0, 0.5])
+def test_learning_forward_applies_the_detach_band(monkeypatch, detach_bound):
+    cfg = replace(SMALL, detach_bound=detach_bound)
+    trainer = _Trainer(cfg)
+    rng = np.random.default_rng(0)
+    units = rng.random((2 * cfg.batch_size, 6))
+    clips = make_synthetic_batch(rng, cfg.batch_size, cfg.input_shape)
+    sampled = []
+    monkeypatch.setattr(simulator, "sample",
+                        lambda *args: sampled.append(args) or sample(*args))
+    _, _, tape = chain_forward(units, clips, cfg.bounds, trainer.crop_grid,
+                               trainer.encoder, cfg.loss_cfg, True)
+    _, grad_units = chain_backward(tape)
+    jacobian = tape[-3]
+    if detach_bound == 0.5:
+        # The band masks every entry: no jacobian, and a zero unit gradient.
+        assert sampled == [] and jacobian is None
+        assert grad_units.shape == units.shape and not np.any(grad_units)
+    else:
+        assert len(sampled) == 1 and jacobian is not None
+        assert np.any(grad_units)
+
+
 # Seed 3's draws are clear of every kink that a step of GLUE_H in one weight
 # could cross (checked below, the way gradcheck screens its instances).
 GLUE_SEED = 3
@@ -305,7 +342,7 @@ def test_step_moves_croppers_by_reversed_loss_gradient():
     fresh = _Trainer(cfg)
     clips = make_synthetic_batch(fresh.data_rng, cfg.batch_size, cfg.input_shape)
     noises = np.stack([sample_noise(rng, cfg.batch_size, cfg.noise_dim)
-                       for rng in fresh.noise_rngs])
+                       for rng in fresh.noise_rngs], axis=1).reshape(-1, cfg.noise_dim)
 
     def forward(croppers):
         units, cache = generate(noises, croppers)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paramcrop import gradcheck
+from paramcrop import cli, gradcheck
 from paramcrop.cli import main, render_svg
 from paramcrop.errors import ConfigError
 from paramcrop.kv import format_kv, parse_kv
@@ -152,6 +152,15 @@ class TestTrain:
         assert pairs["steps"] == "3"
         assert pairs["strategy"] == "paramcrop"
         assert "cropper_lr" in pairs
+
+    def test_print_config_ignores_a_utf8_bom(self, tmp_path, config_path, capsys):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+        printed = []
+        for path in (config_path, bom):
+            assert main(["train", "--config", str(path), "--print-config"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[1] == printed[0]
 
     def test_plot_writes_svg(self, tmp_path, config_path):
         out = tmp_path / "run"
@@ -339,6 +348,24 @@ class TestManifestReplay:
         assert main([*replay_argv, "--config", str(manifest), "--out", str(replay)]) == 0
         assert (replay / written).read_bytes() == (first / written).read_bytes()
         assert (replay / "manifest.txt").read_bytes() == manifest.read_bytes()
+
+    def test_sweep_manifest_replays_the_exact_bounds(self, tmp_path, config_path,
+                                                     monkeypatch):
+        ran, run_training = [], cli.run_training
+
+        def recording(cfg):
+            ran.append(cfg.detach_bound)
+            return run_training(cfg)
+
+        monkeypatch.setattr(cli, "run_training", recording)
+        first = tmp_path / "first"
+        assert main(["sweep-detach", "--config", str(config_path), "--out", str(first),
+                     "--bounds", "0.1234567891234,0.3"]) == 0
+        manifest = first / "manifest.txt"
+        assert parse_kv(manifest.read_text())["detach_bounds"] == "0.1234567891234,0.3"
+        assert main(["sweep-detach", "--config", str(manifest),
+                     "--out", str(tmp_path / "replay")]) == 0
+        assert ran == [0.1234567891234, 0.3] * 2
 
     @pytest.mark.parametrize("extra", ["", "command = inspect\n"],
                              ids=["no_command", "unknown_command"])

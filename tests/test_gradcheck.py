@@ -119,7 +119,7 @@ class TestScreening:
 
 class TestChainReversal:
     def test_reversed_grads_are_exact_negation(self):
-        inst = build_chain_instance(np.random.SeedSequence(99))
+        inst, _ = build_chain_instance(np.random.SeedSequence(99))
         plain = chain_cropper_grads(inst, reverse=False)
         flipped = chain_cropper_grads(inst, reverse=True)
         assert len(plain["w1"]) == len(flipped["w1"]) == 2  # one entry per generator
@@ -131,7 +131,7 @@ class TestChainReversal:
             assert np.any(p1 != 0.0) and np.any(p2 != 0.0)
 
     def test_chain_loss_is_finite_scalar(self):
-        inst = build_chain_instance(np.random.SeedSequence(7))
+        inst, _ = build_chain_instance(np.random.SeedSequence(7))
         value = chain_loss(inst)
         assert isinstance(value, float)
         assert np.isfinite(value)
