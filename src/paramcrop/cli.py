@@ -1,17 +1,18 @@
 """Command-line front end: gradcheck, train, compare, sweep-detach.
 
-Configs are flat ``key = value`` text files (see TrainConfig for the keys);
-every run directory receives a manifest embedding the exact effective config,
-and ``--config`` also reads a manifest, so it replays that run byte-for-byte
-with no other flag (``compare`` and ``sweep-detach`` reuse its list).  Each
-entry of a list flag is parsed as a config value of its field, and the
-manifest records the list as the config would write it.
-A run directory is created only once the runs have returned: a failed run
-leaves none, and an unwritable ``--out`` exits 4 after the runs.
+Configs are flat ``key = value`` text files (see TrainConfig for the keys).
+The run commands share one path, ``cmd_run``: load ``--config``, expand the
+list flag (one config per entry, parsed as a value of its field), run, and
+only then create ``--out`` and write the command's files and a manifest
+embedding the exact effective config; a failed run leaves no directory.
+``_RUN_COMMANDS`` is the one table of what each command adds.  ``--config``
+also reads a manifest, so it replays that run byte-for-byte with no other
+flag (``compare`` and ``sweep-detach`` reuse the list it records).
 
 Exit codes: 0 success, 2 config error, 3 numerical/training error, 4 I/O
 or out-of-memory error.  The PARAMCROP_THREADS environment variable
-(default 1) caps worker threads for multi-run commands.
+(default 1) caps worker threads for the list commands, which reject a bad
+value even for a one-entry list; ``train`` never reads it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import argparse
 import logging
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,20 +44,6 @@ from .simulator import (
 )
 
 logger = logging.getLogger(__name__)
-
-# A run manifest is a config plus the keys below; its command, one of these,
-# is what tells it apart from a config file.
-_MANIFEST_COMMANDS = ("train", "compare", "sweep-detach")
-_MANIFEST_ONLY_KEYS = {
-    "version", "command", "metrics_csv", "plot_svg", "compare_csv",
-    "sweep_csv", "strategies", "detach_bounds",
-}
-# A multi-run command's list flag: its manifest key (the flag's dest), the
-# config field each entry sets, and its default.
-_LIST_FLAGS = {
-    "compare": ("strategies", "strategy", "paramcrop,random,simple,hard,manual"),
-    "sweep-detach": ("detach_bounds", "detach_bound", "0.0,0.2,0.5"),
-}
 
 
 def _thread_count() -> int:
@@ -78,42 +66,45 @@ def _run_many(configs: list[TrainConfig]) -> list[RunResult]:
         return list(pool.map(run_training, configs))
 
 
-def _load_config(args: argparse.Namespace) -> TrainConfig:
-    """The ``--config`` file (a config or a run manifest) with ``--seed`` applied."""
+def _load_run(args: argparse.Namespace) -> tuple[TrainConfig, list[TrainConfig], dict]:
+    """``--config`` (a config or a run manifest) with ``--seed`` applied, one
+    config per list-flag entry, and the list's manifest entry."""
     pairs: dict[str, str] = {}
     if args.config:
         try:
             pairs = parse_kv(Path(args.config).read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from exc
-    # An unset list flag takes the list a manifest of this command records, or
-    # its default (no other manifest holds the key; a config file is rejected).
-    if args.command in _LIST_FLAGS:
-        key, _, default = _LIST_FLAGS[args.command]
-        if getattr(args, key) is None:
-            setattr(args, key, pairs.get(key, default))
-    if pairs.get("command") in _MANIFEST_COMMANDS:
-        pairs = {k: v for k, v in pairs.items() if k not in _MANIFEST_ONLY_KEYS}
-    cfg = config_from_pairs(pairs)
+    # A manifest's run command is what tells it apart from a config file,
+    # which may hold none of the manifest-only keys.
+    config = pairs
+    if pairs.get("command") in _RUN_COMMANDS:
+        config = {k: v for k, v in pairs.items() if k not in _MANIFEST_ONLY_KEYS}
+    cfg = config_from_pairs(config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _list_configs(args: argparse.Namespace, cfg: TrainConfig):
-    """One config per entry of the command's list flag, and its manifest entry."""
-    key, field, _ = _LIST_FLAGS[args.command]
-    configs = [config_from_pairs({field: text}, base=cfg)
-               for text in getattr(args, key).split(",") if text.strip()]
+    listing = _RUN_COMMANDS[args.command].listing
+    if listing is None:
+        return cfg, [cfg], {}
+    key, field, default = listing
+    # An unset list flag takes the list a manifest of this command records, or
+    # its default (no other manifest holds the key; a config file is rejected).
+    text = getattr(args, key)
+    if text is None:
+        text = pairs.get(key, default)
+    configs = [config_from_pairs({field: entry}, base=cfg)
+               for entry in text.split(",") if entry.strip()]
     if not configs:
         raise ConfigError(f"{key}: need at least one value")
-    return configs, {key: ",".join(config_to_pairs(c)[field] for c in configs)}
+    return cfg, configs, {key: ",".join(config_to_pairs(c)[field] for c in configs)}
 
 
-def _tail_means(records: np.ndarray) -> tuple[float, float]:
-    """Mean IoU and normalised distance over the last tenth of a run's log."""
-    tail = records[-max(1, len(records) // 10):]
-    return float(np.mean(tail["iou"])), float(np.mean(tail["dist_norm"]))
+def _summary(result: RunResult) -> list[str]:
+    """A run's probe IoU and normalised distance, then their means over the
+    last tenth of its log, formatted as CSV cells."""
+    tail = result.records[-max(1, len(result.records) // 10):]
+    return [format_float(v) for v in (result.probe_iou, result.probe_dist_norm,
+                                      np.mean(tail["iou"]), np.mean(tail["dist_norm"]))]
 
 
 # ---------------------------------------------------------------------------
@@ -200,94 +191,108 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig,
                     extra: dict[str, object]) -> None:
-    manifest: dict[str, object] = {"version": __version__, "command": command}
-    manifest.update(extra)
-    manifest.update(config_to_pairs(cfg))
+    manifest = {"version": __version__, "command": command, **extra,
+                **config_to_pairs(cfg)}
     (out_dir / "manifest.txt").write_text(format_kv(manifest))
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    if args.print_config:
-        sys.stdout.write(format_kv(config_to_pairs(cfg)))
-        return 0
-    result = run_training(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.csv").write_text(render_csv(result.records))
-    extra: dict[str, object] = {"metrics_csv": "metrics.csv"}
+def _train_files(args: argparse.Namespace, results: list[RunResult]):
+    (result,) = results
+    texts = {"metrics_csv": render_csv(result.records)}
     if args.plot:
-        (out_dir / "metrics.svg").write_text(render_svg(result.records))
-        extra["plot_svg"] = "metrics.svg"
-    _write_manifest(out_dir, "train", cfg, extra)
-    iou, dist = _tail_means(result.records)
-    print(
-        f"probe iou={format_float(result.probe_iou)} "
-        f"dist_norm={format_float(result.probe_dist_norm)}"
-    )
-    print(f"final iou={format_float(iou)} dist_norm={format_float(dist)}")
-    print(f"wrote {out_dir / 'metrics.csv'}")
-    return 0
+        texts["plot_svg"] = render_svg(result.records)
+    probe_iou, probe_dist, iou, dist = _summary(result)
+    return texts, [f"probe iou={probe_iou} dist_norm={probe_dist}",
+                   f"final iou={iou} dist_norm={dist}"]
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    configs, listed = _list_configs(args, cfg)
-    results = _run_many(configs)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _compare_files(args: argparse.Namespace, results: list[RunResult]):
     lines = ["strategy," + CSV_HEADER]
+    summary = []
     for result in results:
         lines.extend(f"{result.config.strategy},{row}"
                      for row in render_csv(result.records).splitlines()[1:])
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out_dir, "compare", cfg, {"compare_csv": "compare.csv", **listed})
-    for result in results:
-        iou, dist = _tail_means(result.records)
-        print(
-            f"{result.config.strategy}: final iou={format_float(iou)} "
-            f"dist_norm={format_float(dist)}"
-        )
-    print(f"wrote {out_dir / 'compare.csv'}")
-    return 0
+        _, _, iou, dist = _summary(result)
+        summary.append(f"{result.config.strategy}: final iou={iou} dist_norm={dist}")
+    return {"compare_csv": "\n".join(lines) + "\n"}, summary
 
 
-def cmd_sweep_detach(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    configs, listed = _list_configs(args, cfg)
-    results = _run_many(configs)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _sweep_files(args: argparse.Namespace, results: list[RunResult]):
     lines = ["b_detach,probe_iou,probe_dist_norm,last_iou,last_dist_norm"]
     for result in results:
-        iou, dist = _tail_means(result.records)
-        lines.append(
-            ",".join(
-                [
-                    format_float(result.config.detach_bound),
-                    format_float(result.probe_iou),
-                    format_float(result.probe_dist_norm),
-                    format_float(iou),
-                    format_float(dist),
-                ]
-            )
-        )
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out_dir, "sweep-detach", cfg, {"sweep_csv": "sweep.csv", **listed})
-    print(f"wrote {out_dir / 'sweep.csv'}")
+        bound = format_float(result.config.detach_bound)
+        lines.append(",".join([bound, *_summary(result)]))
+    return {"sweep_csv": "\n".join(lines) + "\n"}, []
+
+
+@dataclass(frozen=True)
+class _RunCommand:
+    """What one run command adds to the shared run path."""
+
+    help: str
+    # Its own parser flags, as (flag, add_argument keywords).
+    flags: tuple[tuple[str, dict], ...]
+    # Manifest key -> file name of each file it may write; stdout names the
+    # first, which it always writes.
+    files: dict[str, str]
+    # (args, results) -> (text per manifest key in ``files``, stdout lines).
+    render: Callable[..., tuple[dict[str, str], list[str]]]
+    # Its list flag, or None for a single run: the manifest key (the flag's
+    # dest), the config field each entry sets, and the default.
+    listing: tuple[str, str, str] | None = None
+
+
+_RUN_COMMANDS = {
+    "train": _RunCommand(
+        "run one training simulation",
+        (("--plot", {"action": "store_true",
+                     "help": "also write an SVG plot of the metrics"}),
+         ("--print-config", {"action": "store_true",
+                             "help": "print the effective config and exit"})),
+        {"metrics_csv": "metrics.csv", "plot_svg": "metrics.svg"}, _train_files),
+    "compare": _RunCommand(
+        "run several crop strategies under one seed",
+        (("--strategies", {"help": "comma-separated strategy names "
+                           "(default: a compare manifest's, else all five)"}),),
+        {"compare_csv": "compare.csv"}, _compare_files,
+        ("strategies", "strategy", "paramcrop,random,simple,hard,manual")),
+    "sweep-detach": _RunCommand(
+        "run the same config across detach bounds",
+        (("--bounds", {"dest": "detach_bounds", "help": "comma-separated detach bounds "
+                       "(default: a sweep-detach manifest's, else 0.0,0.2,0.5)"}),),
+        {"sweep_csv": "sweep.csv"}, _sweep_files,
+        ("detach_bounds", "detach_bound", "0.0,0.2,0.5")),
+}
+# A run manifest is a config plus these keys.
+_MANIFEST_ONLY_KEYS = {
+    "version", "command",
+    *(key for command in _RUN_COMMANDS.values() for key in command.files),
+    *(command.listing[0] for command in _RUN_COMMANDS.values() if command.listing),
+}
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    command = _RUN_COMMANDS[args.command]
+    cfg, configs, listed = _load_run(args)
+    if getattr(args, "print_config", False):
+        sys.stdout.write(format_kv(config_to_pairs(cfg)))
+        return 0
+    # A single run stays in this thread and never reads PARAMCROP_THREADS.
+    results = _run_many(configs) if command.listing else [run_training(cfg)]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    texts, lines = command.render(args, results)
+    for key, text in texts.items():
+        (out_dir / command.files[key]).write_text(text)
+    _write_manifest(out_dir, args.command, cfg,
+                    {**{key: command.files[key] for key in texts}, **listed})
+    print(*lines, f"wrote {out_dir / next(iter(command.files.values()))}", sep="\n")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser / entry point
 # ---------------------------------------------------------------------------
-
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config",
-                   help="path to a key = value config file or a run manifest")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", default="paramcrop-out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,27 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("train", help="run one training simulation")
-    _add_run_flags(p)
-    p.add_argument("--plot", action="store_true",
-                   help="also write an SVG plot of the metrics")
-    p.add_argument("--print-config", action="store_true",
-                   help="print the effective config and exit")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("compare",
-                       help="run several crop strategies under one seed")
-    _add_run_flags(p)
-    p.add_argument("--strategies", help="comma-separated strategy names "
-                   "(default: a compare manifest's, else all five)")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep-detach",
-                       help="run the same config across detach bounds")
-    _add_run_flags(p)
-    p.add_argument("--bounds", dest="detach_bounds", help="comma-separated detach "
-                   "bounds (default: a sweep-detach manifest's, else 0.0,0.2,0.5)")
-    p.set_defaults(func=cmd_sweep_detach)
+    for name, command in _RUN_COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config",
+                       help="path to a key = value config file or a run manifest")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out", default="paramcrop-out", help="output directory")
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=cmd_run)
     return parser
 
 

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all paramcrop modules.
 
-Each class maps onto one process exit code in the command-line front end:
-config errors exit 2, numerical/training errors exit 3, I/O errors exit 4.
+In the command-line front end ``ConfigError`` exits 2 and every other class
+here exits 3; exit 4 is an I/O or out-of-memory error (OSError, MemoryError).
 """
 
 from __future__ import annotations

@@ -3,16 +3,19 @@ one smoke test of the installed entry point)."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import paramcrop
 from paramcrop import cli, gradcheck
 from paramcrop.cli import main, render_svg
 from paramcrop.errors import ConfigError
@@ -288,6 +291,20 @@ class TestErrorPaths:
                      "--strategies", "simple,hard"])
         assert code == 2
 
+    # Only the list commands read the variable, and they reject a bad value
+    # even when a one-entry list leaves nothing to run in parallel.
+    @pytest.mark.parametrize("argv, expected", [
+        (["train"], 0),
+        (["compare", "--strategies", "simple"], 2),
+        (["sweep-detach", "--bounds", "0.5"], 2),
+    ], ids=["train", "compare", "sweep-detach"])
+    def test_bad_thread_env_scope(self, tmp_path, config_path, monkeypatch,
+                                  argv, expected):
+        monkeypatch.setenv("PARAMCROP_THREADS", "zero")
+        out = tmp_path / "run"
+        assert main([*argv, "--config", str(config_path), "--out", str(out)]) == expected
+        assert out.exists() == (expected == 0)
+
 
 class TestCompare:
     def test_writes_combined_csv(self, tmp_path, config_path, capsys):
@@ -333,12 +350,14 @@ class TestManifestReplay:
     """``--config`` reads any command's run manifest and replays that run."""
 
     @pytest.mark.parametrize("argv, written, replay_flags", [
-        (["compare", "--strategies", "simple,paramcrop"], "compare.csv", True),
-        (["sweep-detach", "--bounds", "0.0,0.5"], "sweep.csv", True),
+        (["compare", "--strategies", "simple,paramcrop"], ["compare.csv"], True),
+        (["sweep-detach", "--bounds", "0.0,0.5"], ["sweep.csv"], True),
         # With no list flag, the replay runs the list its manifest records.
-        (["compare", "--strategies", "simple,paramcrop"], "compare.csv", False),
-        (["sweep-detach", "--bounds", "0.0,0.5"], "sweep.csv", False),
-    ], ids=["compare", "sweep-detach", "compare-no-flag", "sweep-detach-no-flag"])
+        (["compare", "--strategies", "simple,paramcrop"], ["compare.csv"], False),
+        (["sweep-detach", "--bounds", "0.0,0.5"], ["sweep.csv"], False),
+        (["train", "--plot"], ["metrics.csv", "metrics.svg"], True),
+    ], ids=["compare", "sweep-detach", "compare-no-flag", "sweep-detach-no-flag",
+            "train-plot"])
     def test_manifest_replays_byte_identically(self, tmp_path, config_path,
                                                argv, written, replay_flags):
         first, replay = tmp_path / "first", tmp_path / "replay"
@@ -346,7 +365,8 @@ class TestManifestReplay:
         manifest = first / "manifest.txt"
         replay_argv = argv if replay_flags else argv[:1]
         assert main([*replay_argv, "--config", str(manifest), "--out", str(replay)]) == 0
-        assert (replay / written).read_bytes() == (first / written).read_bytes()
+        for name in written:
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
         assert (replay / "manifest.txt").read_bytes() == manifest.read_bytes()
 
     def test_sweep_manifest_replays_the_exact_bounds(self, tmp_path, config_path,
@@ -546,9 +566,12 @@ class TestSvg:
 
 class TestInstalledEntryPoint:
     def test_module_invocation(self):
+        # The child imports the same package as this test, installed or not.
+        src = str(Path(paramcrop.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "paramcrop.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("paramcrop ")
