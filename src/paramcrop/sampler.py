@@ -1,8 +1,11 @@
 """Trilinear volume resampling on normalised grids, with analytic gradients.
 
-Batch-first: one call resamples ``V`` views from each of ``N`` clips.  The
-views of a clip read from that one clip, which is never copied per view; a
-single clip is a leading axis of 1.
+Batch-first: one call resamples ``V`` views from each of ``N`` clips, one
+row per view; a single clip is a leading axis of 1.  Rows go in passes of
+as many whole rows as fit 2048 points, and at least one, so the default
+8 x 16 x 16 crop is one row per pass and small crops share one.  A pass
+gathers one t face at a time by flat offset into the clips, so it can span
+clips; a gather holds C x 4 x 2048 values (C x 4 x P for rows of P > 2048).
 
 Coordinates follow the endpoint-inclusive convention: -1 and +1 land exactly
 on the first and last voxel centre of an axis (``index = (coord + 1) / 2 *
@@ -28,6 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
+
+# Points per pass: rows of P points go max(1, 2048 // P) at a time.
+_CHUNK_POINTS = 2048
 
 
 def _check_inputs(video: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,78 +62,69 @@ def _cell_setup(coords: np.ndarray, length: int):
     return lo.astype(np.int64), frac, clamped
 
 
-def _face(
-    flat: np.ndarray, index: np.ndarray, wx: np.ndarray, wy: np.ndarray,
-    with_jacobian: bool,
-):
-    """Bilinear value on one t face of each point's cell, with its derivatives.
-
-    *index* holds the flat offsets of the face's four corners, ordered
-    (x, y), so that each lerp combines two contiguous halves.  Returns the
-    value and, with *with_jacobian*, its x and y fraction derivatives.
-    """
-    c = np.take(flat, index, axis=1)
-    dx = c[:, 2:] - c[:, :2]
-    a = dx * wx
-    a += c[:, :2]
-    del c
-    dy = a[:, 1] - a[:, 0]
-    value = dy * wy
-    value += a[:, 0]
-    if not with_jacobian:
-        return value, None, None
-    # d/dx is the x difference lerped along y.
-    return value, dx[:, 0] + (dx[:, 1] - dx[:, 0]) * wy, dy
-
-
-def _view(
-    flat: np.ndarray, points: np.ndarray, shape: tuple[int, int, int],
-    out: np.ndarray, jac: np.ndarray | None,
-) -> None:
-    """Interpolate one view from its clip's (C, T*H*W) values into *out*.
-
-    With *jac* given, also write the (3, C, P) coordinate derivatives there.
-    """
-    t_len, h_len, w_len = shape
-    lengths = (w_len, h_len, t_len)
-    cells = [_cell_setup(points[:, axis], n) for axis, n in enumerate(lengths)]
-    (x0, wx, _), (y0, wy, _), (t0, wt, _) = cells
-    # Flat offsets of the four corners of a cell's t face, ordered (x, y).
-    base = (t0 * h_len + y0) * w_len + x0 + np.array([0, w_len, 1, 1 + w_len])[:, None]
-    v0, dx0, dy0 = _face(flat, base, wx, wy, jac is not None)
-    base += h_len * w_len
-    v1, dx1, dy1 = _face(flat, base, wx, wy, jac is not None)
-    dt = v1 - v0
-    np.multiply(dt, wt, out=out)
-    out += v0
-    if jac is None:
-        return
-    # The x and y derivatives blend across the two faces like the values
-    # do; the value difference is the t derivative.
-    jac[0] = dx0 + (dx1 - dx0) * wt
-    jac[1] = dy0 + (dy1 - dy0) * wt
-    jac[2] = dt
-    for axis, (n, (_, _, clamped)) in enumerate(zip(lengths, cells)):
-        jac[axis] *= ~clamped * (0.5 * (n - 1))
-
-
 def _interpolate(
     video: np.ndarray, grid: np.ndarray, with_jacobian: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     video, grid = _check_inputs(video, grid)
-    n_clips, n_ch = video.shape[:2]
-    n_views = grid.shape[1]
-    coords = grid.reshape(n_clips * n_views, -1, 3)
-    crops = np.empty((coords.shape[0], n_ch, coords.shape[1]))
-    jac = np.empty((coords.shape[0], 3, n_ch, coords.shape[1])) if with_jacobian else None
-    # One view at a time, one t face at a time: gathering the corners of the
-    # whole batch at once would hold 8 x the crops in memory.
-    for row, points in enumerate(coords):
-        _view(
-            video[row // n_views].reshape(n_ch, -1), points, video.shape[2:],
-            crops[row], None if jac is None else jac[row],
-        )
-    return crops.reshape((coords.shape[0], n_ch) + grid.shape[2:-1]), jac
+    n_clips, n_ch, t_len, h_len, w_len = video.shape
+    coords = grid.reshape(n_clips * grid.shape[1], -1, 3)
+    n_rows, n_points = coords.shape[:2]
+    crops = np.empty((n_rows, n_ch, n_points))
+    jac = np.empty((n_rows, 3, n_ch, n_points)) if with_jacobian else None
+    lengths = (w_len, h_len, t_len)
+    # Flat offsets into the clips: of each row's clip, and of each channel
+    # plus the four corners of a cell's t face, ordered (x, y) so that each
+    # lerp combines two contiguous halves.  The t + 1 face is H * W further.
+    clip_len = t_len * h_len * w_len
+    clips = np.arange(n_rows) // grid.shape[1] * (n_ch * clip_len)
+    corners = (np.array([0, w_len, 1, 1 + w_len])[:, None, None, None]
+               + np.arange(n_ch)[:, None] * clip_len)
+    flat = video.reshape(-1)  # a copy only for clips that are not C-contiguous
+    # Whole rows per pass, as many as fit _CHUNK_POINTS and at least one,
+    # one t face at a time: a gather holds C x 4 x max(_CHUNK_POINTS, P)
+    # values.  Each face's and each pass's arrays are freed before the next
+    # are built; held, they cost about 10% of sample() at the default shapes.
+    step = max(1, _CHUNK_POINTS // max(n_points, 1))
+    for start in range(0, n_rows, step):
+        rows = slice(start, start + step)
+        # Per-point setup on 1-D views, which numpy runs faster than 2-D ones.
+        shape = (min(step, n_rows - start), 1, n_points)
+        points = coords[rows].reshape(-1, 3)
+        cells = [_cell_setup(points[:, axis], n) for axis, n in enumerate(lengths)]
+        (x0, wx, _), (y0, wy, _), (t0, wt, _) = cells
+        wx, wy, wt = (w.reshape(shape) for w in (wx, wy, wt))
+        cell = ((t0 * h_len + y0) * w_len + x0).reshape(shape)
+        # (corner, row, channel, point)
+        index = corners + (cell + clips[rows, None, None])
+        faces = []
+        for face in range(2):
+            c = np.take(flat[face * h_len * w_len:], index)
+            dx = c[2:] - c[:2]
+            a = dx * wx
+            a += c[:2]
+            del c
+            dy = a[1] - a[0]
+            value = dy * wy
+            value += a[0]
+            # d/dx is the x difference lerped along y.
+            faces.append((value, dx[0] + (dx[1] - dx[0]) * wy, dy) if with_jacobian
+                         else (value,))
+            del a, dx
+        (v0, *d0), (v1, *d1) = faces
+        dt = v1 - v0
+        np.multiply(dt, wt, out=crops[rows])
+        crops[rows] += v0
+        if with_jacobian:
+            # The x and y derivatives blend across the two faces like the
+            # values do; the value difference is the t derivative.
+            out = jac[rows]
+            out[:, 0] = d0[0] + (d1[0] - d0[0]) * wt
+            out[:, 1] = d0[1] + (d1[1] - d0[1]) * wt
+            out[:, 2] = dt
+            for axis, (n, (_, _, clamped)) in enumerate(zip(lengths, cells)):
+                out[:, axis] *= ~clamped.reshape(shape) * (0.5 * (n - 1))
+        del index, faces, v0, v1, d0, d1, dt
+    return crops.reshape((n_rows, n_ch) + grid.shape[2:-1]), jac
 
 
 def sample(video: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

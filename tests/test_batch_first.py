@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from paramcrop import simulator
+from paramcrop import sampler, simulator
 from paramcrop.affine import (
     ParamBounds,
     apply_early_stop,
@@ -34,7 +34,7 @@ from paramcrop.contrastive import ToyEncoder, encode, encode_backward
 from paramcrop.errors import ConfigError, DimensionError
 from paramcrop.gradcheck import _grid_safe_mask, central_difference, max_relative_error
 from paramcrop.paramgen import CropperState, mlp_backward, mlp_forward, sample_noise
-from paramcrop.sampler import sample, sample_backward
+from paramcrop.sampler import resample, sample, sample_backward
 from paramcrop.simulator import (
     CropCube,
     TrainConfig,
@@ -201,19 +201,33 @@ class TestCropMetrics:
 
 
 class TestSampler:
-    def test_rows_match_single_calls(self, rng):
+    # Point shapes, and the rows each gather pass then takes out of the
+    # 2 * ROWS rows: one row per pass; every row in one pass, spanning all
+    # clips; and 3 + 3 + 2 rows, passes that span clips and a short last one.
+    @pytest.mark.parametrize(
+        "points, rows_per_pass",
+        [((8, 16, 16), 1), ((2, 3, 4), 85), ((6, 10, 10), 3)],
+        ids=["one_row_per_pass", "one_pass", "ragged_last_pass"],
+    )
+    def test_rows_match_single_calls(self, rng, points, rows_per_pass):
+        assert max(1, sampler._CHUNK_POINTS // int(np.prod(points))) == rows_per_pass
         videos = rng.uniform(0.0, 1.0, size=(ROWS, 2, 5, 6, 7))
-        grids = rng.uniform(-1.1, 1.1, size=(ROWS, 2, 2, 3, 4, 3))
-        upstream = rng.normal(size=(2 * ROWS, 2, 2, 3, 4))
+        grids = rng.uniform(-1.3, 1.3, size=(ROWS, 2) + points + (3,))
+        assert np.any(np.abs(grids) > 1.0)
+        upstream = rng.normal(size=(2 * ROWS, 2) + points)
         crops, jacobian = sample(videos, grids)
+        resampled = resample(videos, grids)
         grad = sample_backward(upstream, jacobian)
-        assert crops.shape == (2 * ROWS, 2, 2, 3, 4)
-        assert grad.shape == (2 * ROWS, 2, 3, 4, 3)
+        assert crops.shape == (2 * ROWS, 2) + points
+        assert grad.shape == (2 * ROWS,) + points + (3,)
         for n in range(ROWS):
             for v in range(2):
                 row = 2 * n + v
-                one_crop, one_jac = sample(videos[n:n + 1], grids[n:n + 1, v:v + 1])
-                assert_close(crops[row], one_crop[0])
+                one = (videos[n:n + 1], grids[n:n + 1, v:v + 1])
+                one_crop, one_jac = sample(*one)
+                np.testing.assert_array_equal(crops[row], one_crop[0])
+                np.testing.assert_array_equal(jacobian[row], one_jac[0])
+                np.testing.assert_array_equal(resampled[row], resample(*one)[0])
                 assert_close(
                     grad[row], sample_backward(upstream[row:row + 1], one_jac)[0]
                 )

@@ -117,6 +117,17 @@ class TestForward:
         crops, _ = sample(video[None], grid)
         np.testing.assert_array_equal(crops, resample(video[None], grid))
 
+    def test_non_contiguous_clips_match_their_copy(self, video):
+        rng = np.random.default_rng(7)
+        clips = np.stack([video, video[::-1]])[..., ::-1]
+        assert not clips.flags.c_contiguous
+        grid = rng.uniform(-1.2, 1.2, size=(2, 2, 3, 4, 5, 3))
+        crops, jacobian = sample(clips, grid)
+        copy_crops, copy_jacobian = sample(np.ascontiguousarray(clips), grid)
+        np.testing.assert_array_equal(crops, copy_crops)
+        np.testing.assert_array_equal(jacobian, copy_jacobian)
+        np.testing.assert_array_equal(resample(clips, grid), copy_crops)
+
 
 class TestBackward:
     def test_matches_finite_differences_interior(self, video):
