@@ -14,6 +14,10 @@ The encoder is toy by design: one valid-padded strided 3D convolution, ReLU,
 global average pooling, a linear projection, then L2 normalisation.  It is
 just large enough that crop placement visibly changes the embedding.
 
+:func:`nt_xent` also takes (..., 2N, D) rows and returns one loss per
+leading index, so finite differences can evaluate many perturbed batches in
+one call; its backward takes one (2N, D) batch.
+
 The encoder is batch-first: :func:`encode` takes (R, C, T, H, W) clips and
 runs the convolution for all of them as one im2col matmul, and
 :func:`encode_backward` returns the weight gradients summed over the rows.
@@ -47,21 +51,21 @@ class LossConfig:
 
 def _check_embeddings(embeddings: np.ndarray, cfg: LossConfig) -> np.ndarray:
     e = np.asarray(embeddings, dtype=np.float64)
-    if e.ndim != 2:
-        raise DimensionError(f"embeddings must be 2-D, got shape {e.shape}")
-    if e.shape[0] != 2 * cfg.num_samples:
+    if e.ndim < 2:
+        raise DimensionError(f"embeddings must be (..., 2N, D), got shape {e.shape}")
+    if e.shape[-2] != 2 * cfg.num_samples:
         raise DimensionError(
             f"expected {2 * cfg.num_samples} rows for num_samples="
-            f"{cfg.num_samples}, got {e.shape[0]}"
+            f"{cfg.num_samples}, got {e.shape[-2]}"
         )
     return e
 
 
 def _normalise_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise unit vectors plus the original norms (zero rows stay zero)."""
-    norms = np.sqrt(np.sum(e * e, axis=1))
+    norms = np.sqrt(np.sum(e * e, axis=-1))
     safe = np.where(norms > _NORM_EPS, norms, 1.0)
-    unit = e / safe[:, None]
+    unit = e / safe[..., None]
     unit[norms <= _NORM_EPS] = 0.0
     return unit, norms
 
@@ -69,31 +73,38 @@ def _normalise_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pair_softmax(e: np.ndarray, cfg: LossConfig):
     """Shared forward pieces: unit rows, off-diagonal softmax, partner index."""
     unit, norms = _normalise_rows(e)
-    logits = (unit @ unit.T) / cfg.temperature
-    n_rows = e.shape[0]
+    logits = (unit @ np.swapaxes(unit, -1, -2)) / cfg.temperature
+    n_rows = e.shape[-2]
     diag = np.arange(n_rows)
-    logits[diag, diag] = -np.inf          # anchor never its own candidate
-    shift = np.max(logits, axis=1, keepdims=True)
+    logits[..., diag, diag] = -np.inf     # anchor never its own candidate
+    shift = np.max(logits, axis=-1, keepdims=True)
     expd = np.exp(logits - shift)
-    denom = np.sum(expd, axis=1, keepdims=True)
+    denom = np.sum(expd, axis=-1, keepdims=True)
     softmax = expd / denom
-    log_denom = shift[:, 0] + np.log(denom[:, 0])
+    log_denom = shift[..., 0] + np.log(denom[..., 0])
     partner = diag ^ 1                     # 2k <-> 2k+1
     return unit, norms, logits, softmax, log_denom, partner
 
 
-def nt_xent(embeddings: np.ndarray, cfg: LossConfig) -> float:
-    """Average pairwise contrastive loss over all 2N ordered view pairs."""
+def nt_xent(embeddings: np.ndarray, cfg: LossConfig):
+    """Average pairwise contrastive loss over all 2N ordered view pairs.
+
+    *embeddings* is (..., 2N, D): leading axes hold independent batches,
+    and the loss is an array of the leading shape; a (2N, D) batch gives a
+    float.
+    """
     e = _check_embeddings(embeddings, cfg)
     _, _, logits, _, log_denom, partner = _pair_softmax(e, cfg)
-    rows = np.arange(e.shape[0])
-    per_anchor = log_denom - logits[rows, partner]
-    return float(np.mean(per_anchor))
+    rows = np.arange(e.shape[-2])
+    loss = np.mean(log_denom - logits[..., rows, partner], axis=-1)
+    return float(loss) if e.ndim == 2 else loss
 
 
 def nt_xent_backward(embeddings: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    """Gradient of :func:`nt_xent` w.r.t. the raw (unnormalised) rows."""
+    """Gradient of :func:`nt_xent` w.r.t. the raw (unnormalised) (2N, D) rows."""
     e = _check_embeddings(embeddings, cfg)
+    if e.ndim != 2:
+        raise DimensionError(f"the backward takes (2N, D) embeddings, got {e.shape}")
     unit, norms, _, softmax, _, partner = _pair_softmax(e, cfg)
     n_rows = e.shape[0]
     rows = np.arange(n_rows)

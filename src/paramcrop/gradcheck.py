@@ -2,8 +2,17 @@
 
 Every check family is a screened random instance whose analytic gradient,
 computed once, is checked by ``_weights_error`` (field-keyed weights) or
-``_input_error`` (one input array), which re-derive it numerically by
-perturbing one entry at a time (h = 1e-6, float64 throughout).  The reported
+``_input_error`` (one input array), which re-derive it numerically from the
+losses at +h and -h in each entry (h = 1e-6, float64 throughout).  Those
+probes are evaluated in batched passes: a pass stacks at most
+``_PASS_PROBES`` = 16 perturbed copies of the input on a new leading axis and
+runs them as rows of the family's own batch-first calls (the views of one
+``resample``, the rows of ``clamp_params``, ``transform_grid`` and
+``encode``, the leading axes of ``nt_xent``, ``mlp_forward``, ``generate``
+and ``chain_forward``).  So a pass holds at most 16 probes' intermediates,
+about 16 times one forward's, and an input of n entries costs
+``ceil(2n / 16)`` calls instead of 2n.  Only the encoder's weight probes run
+one at a time, since ``encode`` takes one set of weights.  The reported
 figure is the worst absolute deviation normalised by the gradient's own
 magnitude::
 
@@ -11,7 +20,7 @@ magnitude::
 
 which stays meaningful for gradients whose entries span several orders of
 magnitude while still catching any per-entry formula error above ~1e-5 of
-the gradient scale.
+the gradient scale.  A non-finite entry on either side makes it ``inf``.
 
 Finite differences are only valid away from kinks, so instances are screened:
 sampling coordinates must keep clear of voxel boundaries and the clamp
@@ -70,56 +79,79 @@ from .simulator import (
 DEFAULT_STEP = 1e-6
 DEFAULT_TOLERANCE = 1e-5
 _MAX_REBUILDS = 50
+# Probes per pass of central_difference: at most this many perturbed copies
+# of an input, and their intermediates, are alive at once.
+_PASS_PROBES = 16
 
 
 def central_difference(fn, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Numerical gradient of scalar ``fn`` at *x*, one entry at a time."""
-    x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat, grad_flat = x.ravel(), grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = fn(x)
-        flat[i] = orig - h
-        lo = fn(x)
-        flat[i] = orig
-        grad_flat[i] = (hi - lo) / (2.0 * h)
-    return grad
+    """Numerical gradient at *x* of the scalar loss that *fn* gives per probe.
+
+    *fn* takes a ``(k, *x.shape)`` stack of probes, each a copy of *x* with
+    one entry moved by +h or -h, and returns their ``k`` losses.  Entry ``i``
+    of the flattened *x* is probed at +h then -h; the ``2 * x.size`` probes
+    go in that order in passes of at most ``_PASS_PROBES``, so *fn* runs
+    ``ceil(2 * x.size / _PASS_PROBES)`` times.  *x* is not modified.
+    """
+    shape = np.shape(x)
+    flat = np.array(x, dtype=np.float64).reshape(-1)
+    losses = np.empty(2 * flat.size)
+    for start in range(0, len(losses), _PASS_PROBES):
+        probes = np.arange(start, min(start + _PASS_PROBES, len(losses)))
+        stack = np.repeat(flat[None], len(probes), axis=0)
+        stack[np.arange(len(probes)), probes // 2] += np.where(probes % 2, -h, h)
+        out = np.asarray(fn(stack.reshape((len(probes),) + shape)), dtype=np.float64)
+        if out.shape != probes.shape:
+            raise ValueError(f"fn returned shape {out.shape} for {len(probes)} probes")
+        losses[probes] = out
+    return ((losses[0::2] - losses[1::2]) / (2.0 * h)).reshape(shape)
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Worst deviation, normalised by the larger gradient magnitude."""
+    """Worst deviation, normalised by the larger gradient magnitude.
+
+    ``inf`` when either side has a non-finite entry, so no comparison or
+    ``max`` over errors can drop it.
+    """
     a = np.asarray(analytic, dtype=np.float64).ravel()
     f = np.asarray(numeric, dtype=np.float64).ravel()
     if a.shape != f.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {f.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))):
+        return float("inf")
     scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(f), initial=0.0))
     if scale < 1e-12:
         return 0.0
     return float(np.max(np.abs(a - f)) / scale)
 
 
-def _weights_error(weights, grads: dict[str, np.ndarray], loss,
+def _weights_error(weights, grads: dict[str, np.ndarray], losses,
                    stacked: bool = False) -> float:
-    """Worst error of field-keyed *grads* of ``loss(weights)``, field by field.
+    """Worst error of field-keyed *grads* of a loss of *weights*, field by field.
 
-    With *stacked*, each generator on axis 0 is normalised by its own scale.
+    *losses* takes *weights* with a leading probe axis on every field named
+    in *grads*, the unprobed ones broadcast rather than copied, and returns
+    one loss per probe.  With *stacked*, each generator on axis 0 is
+    normalised by its own scale.
     """
     worst = 0.0
     for name, grad in grads.items():
-        numeric = central_difference(
-            lambda w, name=name: loss(replace(weights, **{name: w})),
-            getattr(weights, name),
-        )
+        def probe_losses(stack, name=name):
+            probes = {key: np.broadcast_to(getattr(weights, key),
+                                           stack.shape[:1] + getattr(weights, key).shape)
+                      for key in grads}
+            return losses(replace(weights, **{**probes, name: stack}))
+
+        numeric = central_difference(probe_losses, getattr(weights, name))
         pairs = zip(grad, numeric) if stacked else [(grad, numeric)]
         worst = max(worst, *(max_relative_error(a, f) for a, f in pairs))
     return worst
 
 
-def _input_error(analytic: np.ndarray, loss, x: np.ndarray, keep=...) -> float:
-    """Error of *analytic*, the gradient of ``loss`` at *x*, on its *keep* entries."""
-    return max_relative_error(analytic[keep], central_difference(loss, x)[keep])
+def _input_error(analytic: np.ndarray, losses, x: np.ndarray, keep=...) -> float:
+    """Error of *analytic*, the gradient at *x* of the loss that *losses* gives
+    per probe (see :func:`central_difference`), on its *keep* entries."""
+    return max_relative_error(analytic[keep], central_difference(losses, x)[keep])
 
 
 def _screened(seed_seq: np.random.SeedSequence, build, what: str):
@@ -170,10 +202,12 @@ def check_sampler_grid(seed_seq: np.random.SeedSequence) -> float:
     # or the clamp threshold.
     safe = _grid_safe_mask(grid[0], video.shape[2:], margin=1e-4)[None]
 
-    def objective(g):
-        return float(np.sum(weight * resample(video, g)))
+    def losses(grids):
+        # The probes are views of the one clip, so one resample serves a pass.
+        crops = resample(video, grids[:, 0].swapaxes(0, 1))
+        return np.sum((weight * crops).reshape(len(crops), -1), axis=1)
 
-    return _input_error(analytic, objective, grid, keep=safe)
+    return _input_error(analytic, losses, grid, keep=safe)
 
 
 def check_interval_map(seed_seq: np.random.SeedSequence) -> float:
@@ -188,10 +222,10 @@ def check_interval_map(seed_seq: np.random.SeedSequence) -> float:
     weight = rng.normal(size=(1, 6))
     analytic = clamp_params_backward(weight, unit, bounds, np.ones((1, 6), dtype=bool))
 
-    def objective(v):
-        return float(np.vdot(weight, clamp_params(v, bounds)))
+    def losses(units):
+        return clamp_params(units[:, 0], bounds) @ weight[0]
 
-    return _input_error(analytic, objective, unit)
+    return _input_error(analytic, losses, unit)
 
 
 def check_grid_transform(seed_seq: np.random.SeedSequence) -> float:
@@ -203,10 +237,11 @@ def check_grid_transform(seed_seq: np.random.SeedSequence) -> float:
                          [0.9, 0.9, 0.7, 0.3, 0.3, 0.3])[None]
     analytic = transform_grid_backward(weight[None], grid, params)
 
-    def objective(p):
-        return float(np.sum(weight * transform_grid(grid, build_affine_matrix(p))))
+    def losses(probes):
+        coords = transform_grid(grid, build_affine_matrix(probes[:, 0]))
+        return np.sum((weight * coords).reshape(len(coords), -1), axis=1)
 
-    return _input_error(analytic, objective, params)
+    return _input_error(analytic, losses, params)
 
 
 def check_nt_xent(seed_seq: np.random.SeedSequence) -> float:
@@ -215,7 +250,7 @@ def check_nt_xent(seed_seq: np.random.SeedSequence) -> float:
     num_samples = int(rng.integers(2, 5))
     cfg = LossConfig(temperature=0.1, num_samples=num_samples)
     emb = rng.normal(size=(2 * num_samples, 6))
-    return _input_error(nt_xent_backward(emb, cfg), lambda e: nt_xent(e, cfg), emb)
+    return _input_error(nt_xent_backward(emb, cfg), lambda es: nt_xent(es, cfg), emb)
 
 
 def _encoder_is_smooth(cache, margin: float) -> bool:
@@ -237,11 +272,18 @@ def check_encoder(seed_seq: np.random.SeedSequence) -> float:
     enc, video, cache, weight = _screened(seed_seq, _encoder_instance, "encoder")
     grads, grad_video = encode_backward(weight, cache, enc)
 
-    def objective(x, e):
-        return float(np.sum(weight * encode(x, e)[0]))
+    def losses(clips, e):
+        return np.sum(weight * encode(clips, e)[0], axis=1)
 
-    return max(_weights_error(enc, grads, lambda e: objective(video, e)),
-               _input_error(grad_video, lambda x: objective(x, enc), video))
+    def weight_losses(probes):
+        # encode takes no stacked weights, so its weight probes run one by one.
+        rows = zip(*(getattr(probes, key) for key in grads))
+        return np.concatenate([losses(video, replace(probes, **dict(zip(grads, row))))
+                               for row in rows])
+
+    # The input probes are the clip rows of one encode.
+    return max(_weights_error(enc, grads, weight_losses),
+               _input_error(grad_video, lambda clips: losses(clips[:, 0], enc), video))
 
 
 def _mlp_instance(rng: np.random.Generator):
@@ -256,8 +298,14 @@ def _mlp_instance(rng: np.random.Generator):
 def check_generator_mlp(seed_seq: np.random.SeedSequence) -> float:
     """Generator unit-params w.r.t. both weight matrices."""
     state, noise, cache, weight = _screened(seed_seq, _mlp_instance, "generator")
-    return _weights_error(state, mlp_backward(weight, cache, state),
-                          lambda s: float(np.vdot(weight, mlp_forward(noise, s)[0])))
+
+    def losses(probes):
+        # The probes are leading weight axes of one batched mlp_forward.
+        units = mlp_forward(np.broadcast_to(noise, probes.w1.shape[:1] + noise.shape),
+                            probes)[0]
+        return units.reshape(len(units), -1) @ weight.ravel()
+
+    return _weights_error(state, mlp_backward(weight, cache, state), losses)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +330,8 @@ def _chain_forward(inst: ChainInstance, croppers, learn: bool):
     """The training step's forward on *inst*: ``(loss, tape, units, mlp_cache)``.
 
     *learn* is ``chain_forward``'s: the numerical side of the checks passes
-    False, since it never runs a backward.
+    False, since it never runs a backward.  *croppers* may carry a leading
+    probe axis on both fields; the loss then has that leading shape.
     """
     units, cache = generate(inst.noises, croppers)
     loss, _, tape = chain_forward(
@@ -292,7 +341,8 @@ def _chain_forward(inst: ChainInstance, croppers, learn: bool):
     return loss, tape, units, cache
 
 
-def chain_loss(inst: ChainInstance, croppers=None) -> float:
+def chain_loss(inst: ChainInstance, croppers=None):
+    """The chain's loss, one per probe when *croppers* carry a probe axis."""
     return _chain_forward(inst, croppers or inst.croppers, learn=False)[0]
 
 
@@ -353,8 +403,9 @@ def build_chain_instance(
             return None
         # Every branch's own gradient scale of every field must be healthy.
         grads = chain_cropper_grads(inst)
-        scale = min(np.min(np.max(np.abs(g), axis=(1, 2))) for g in grads.values())
-        return (inst, grads) if scale > 2e-3 else None
+        scale = np.min([np.max(np.abs(g), axis=(1, 2)) for g in grads.values()])
+        # A non-finite gradient is not small: it goes on to fail the check.
+        return None if scale <= 2e-3 else (inst, grads)
 
     return _screened(seed_seq, build, "chain")
 

@@ -67,7 +67,7 @@ from .contrastive import (
     nt_xent,
     nt_xent_backward,
 )
-from .errors import ConfigError, TrainingError, UnsupportedMetricError
+from .errors import ConfigError, DimensionError, TrainingError, UnsupportedMetricError
 from .paramgen import (
     CropperState,
     MlpCache,
@@ -477,13 +477,19 @@ class RunResult:
 
 
 def generate(noise, croppers: CropperState) -> tuple[np.ndarray, MlpCache]:
-    """(2N, 6) unit params of (2N, noise_dim) noise, both in 2k + branch order.
+    """(..., 2N, 6) unit params of (2N, noise_dim) noise, both in 2k + branch order.
 
     Row ``2k + branch`` is generator ``branch`` on noise row ``2k + branch``.
+    *croppers* is the pair stacked on the branch axis; leading probe axes
+    ``...`` before it, on both fields (a field that is not probed can be
+    broadcast to them), give one generator pair per probe, all on the same
+    noise.  The training step passes none.
     """
+    lead = croppers.w1.shape[:-3]
     pair_noise = noise.reshape(-1, 2, noise.shape[-1]).swapaxes(0, 1)
-    units, cache = mlp_forward(pair_noise, croppers)
-    return units.swapaxes(0, 1).reshape(-1, 6), cache
+    units, cache = mlp_forward(np.broadcast_to(pair_noise, lead + pair_noise.shape),
+                               croppers)
+    return units.swapaxes(-3, -2).reshape(lead + (-1, 6)), cache
 
 
 def generate_backward(grad_units, cache: MlpCache, croppers: CropperState) -> dict:
@@ -500,19 +506,33 @@ def crop_grids(units: np.ndarray, bounds: ParamBounds, grid: np.ndarray):
 def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
                   crop_grid: np.ndarray, encoder: ToyEncoder, loss_cfg: LossConfig,
                   learn: bool):
-    """``(loss, params, tape)`` of the crops that (2N, 6) *units* cut from *clips*.
+    """``(loss, params, tape)`` of the crops that (..., 2N, 6) *units* cut from *clips*.
 
     *clips* are N clips (both views of clip ``k`` read clip ``k``) or one per
-    row, and are released once sampled.  *params* are the (2N, 6) physical
-    params; *tape* is ``(bounds, crop_grid, encoder, loss_cfg, units, params,
-    mask, jacobian, embeddings, enc_cache)``.  Its mask is the detach band's
-    if *learn* (the generators learn from this forward), else None; its
-    jacobian, which the unit gradient needs, is None unless the mask has a
-    live entry.
+    row, and are released once sampled.  *params* are the physical params,
+    shaped like *units*; *tape* is ``(bounds, crop_grid, encoder, loss_cfg,
+    units, params, mask, jacobian, embeddings, enc_cache)``.  Its mask is the
+    detach band's if *learn* (the generators learn from this forward), else
+    None; its jacobian, which the unit gradient needs, is None unless the
+    mask has a live entry.
+
+    Leading probe axes ``...`` on *units* are probes of the 2N rows against
+    the same clips, sampled and encoded as rows of one call each; the loss
+    then has the leading shape.  Only a forward that does not learn takes
+    them, since :func:`chain_backward` reads (2N, 6) units.
     """
+    lead = units.shape[:-2]
+    if learn and lead:
+        raise DimensionError(
+            f"a learning forward takes (2N, 6) units, got shape {units.shape}"
+        )
     mask = apply_early_stop(units, bounds.detach_bound) if learn else None
-    params, grids = crop_grids(units, bounds, crop_grid)
-    views = grids.reshape((len(clips), -1) + grids.shape[1:])
+    # Rows go clip-major, (clip, probe, row of the clip), so that each clip's
+    # views are contiguous in the grids without a copy.
+    n_clips, probes = len(clips), int(np.prod(lead))
+    rows = units.reshape((probes, n_clips, -1, 6)).swapaxes(0, 1).reshape(-1, 6)
+    params, grids = crop_grids(rows, bounds, crop_grid)
+    views = grids.reshape((n_clips, -1) + grids.shape[1:])
     del grids
     if mask is not None and mask.any():
         crops, jacobian = sample(clips, views)
@@ -520,6 +540,11 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
         crops, jacobian = resample(clips, views), None
     del clips, views
     embeddings, enc_cache = encode(crops, encoder)
+    # Back to probe-major (..., 2N, D) and (..., 2N, 6) rows.
+    embeddings, params = (
+        a.reshape((n_clips, probes, -1, a.shape[-1])).swapaxes(0, 1)
+        .reshape(lead + (-1, a.shape[-1])) for a in (embeddings, params)
+    )
     loss = nt_xent(embeddings, loss_cfg)
     return loss, params, (bounds, crop_grid, encoder, loss_cfg, units, params,
                           mask, jacobian, embeddings, enc_cache)

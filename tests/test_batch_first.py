@@ -30,7 +30,14 @@ from paramcrop.affine import (
     transform_grid,
     transform_grid_backward,
 )
-from paramcrop.contrastive import ToyEncoder, encode, encode_backward
+from paramcrop.contrastive import (
+    LossConfig,
+    ToyEncoder,
+    encode,
+    encode_backward,
+    nt_xent,
+    nt_xent_backward,
+)
 from paramcrop.errors import ConfigError, DimensionError
 from paramcrop.gradcheck import _grid_safe_mask, central_difference, max_relative_error
 from paramcrop.paramgen import CropperState, mlp_backward, mlp_forward, sample_noise
@@ -304,6 +311,74 @@ SMALL = TrainConfig(
 )
 
 
+class TestProbeAxis:
+    """Leading probe axes on the loss and the crop chain, as the finite
+    differences use them, match one call per probe."""
+
+    def test_nt_xent_probes_match_single_calls(self, rng):
+        cfg = LossConfig(temperature=0.1, num_samples=3)
+        emb = rng.normal(size=(ROWS, 6, 5))
+        emb[1, 2] = 0.0  # a zero row stays zero in its own probe only
+        losses = nt_xent(emb, cfg)
+        assert losses.shape == (ROWS,)
+        for p in range(ROWS):
+            one = nt_xent(emb[p], cfg)
+            assert isinstance(one, float)
+            assert abs(losses[p] - one) <= 1e-15 * abs(one)
+        nested = nt_xent(emb.reshape((2, ROWS // 2, 6, 5)), cfg)
+        np.testing.assert_array_equal(nested.ravel(), losses)
+
+    def test_nt_xent_row_count_checked(self):
+        cfg = LossConfig(num_samples=3)
+        with pytest.raises(DimensionError, match="expected 6 rows"):
+            nt_xent(np.ones((ROWS, 5, 4)), cfg)
+        with pytest.raises(DimensionError, match="must be"):
+            nt_xent(np.ones(6), cfg)
+        with pytest.raises(DimensionError, match="backward takes"):
+            nt_xent_backward(np.ones((ROWS, 6, 4)), cfg)
+
+    @pytest.mark.parametrize("per_row_clips", [False, True], ids=["shared", "per_row"])
+    @pytest.mark.parametrize("probed", ["w1", "w2"])
+    def test_chain_probes_match_single_calls(self, rng, probed, per_row_clips):
+        cfg = SMALL
+        n_rows = 2 * cfg.batch_size
+        trainer = _Trainer(cfg)
+        pair = CropperState.stacked((rng, rng), noise_dim=cfg.noise_dim,
+                                    hidden_dim=cfg.hidden_dim, init_scale=0.5)
+        noise = rng.random((n_rows, cfg.noise_dim))
+        # One field carries the probes, the other is broadcast to them.
+        field = getattr(pair, probed)
+        stack = field + rng.normal(scale=0.2, size=(ROWS,) + field.shape)
+        probes = CropperState(**{
+            name: np.broadcast_to(getattr(pair, name), (ROWS,) + getattr(pair, name).shape)
+            for name in ("w1", "w2")
+        })
+        probes = replace(probes, **{probed: stack})
+        clips = rng.uniform(size=(n_rows if per_row_clips else cfg.batch_size,)
+                            + cfg.input_shape)
+        args = (clips, cfg.bounds, trainer.crop_grid, trainer.encoder, cfg.loss_cfg)
+
+        units, _ = generate(noise, probes)
+        losses, params, _ = chain_forward(units, *args, False)
+        assert units.shape == params.shape == (ROWS, n_rows, 6)
+        assert losses.shape == (ROWS,)
+        for p in range(ROWS):
+            one_units, _ = generate(noise, replace(pair, **{probed: stack[p]}))
+            one_loss, one_params, _ = chain_forward(one_units, *args, False)
+            assert_close(units[p], one_units)
+            assert_close(params[p], one_params)
+            assert abs(losses[p] - one_loss) <= 1e-12 * abs(one_loss)
+
+    def test_learning_forward_rejects_a_probe_axis(self, rng):
+        cfg = SMALL
+        trainer = _Trainer(cfg)
+        units = rng.random((ROWS, 2 * cfg.batch_size, 6))
+        clips = make_synthetic_batch(rng, cfg.batch_size, cfg.input_shape)
+        with pytest.raises(DimensionError, match="learning forward takes"):
+            chain_forward(units, clips, cfg.bounds, trainer.crop_grid,
+                          trainer.encoder, cfg.loss_cfg, True)
+
+
 def test_full_detach_band_leaves_croppers_bit_identical():
     cfg = replace(SMALL, detach_bound=0.5)
     initial = _Trainer(cfg).croppers
@@ -379,7 +454,8 @@ def test_step_moves_croppers_by_reversed_loss_gradient():
                 return -forward(replace(fresh.croppers, **{attr: stacked}))[0]
 
             numeric = central_difference(
-                neg_loss, getattr(fresh.croppers, attr)[branch], GLUE_H
+                lambda ws, neg_loss=neg_loss: np.array([neg_loss(w) for w in ws]),
+                getattr(fresh.croppers, attr)[branch], GLUE_H,
             )
             applied = (getattr(before, attr)[branch]
                        - getattr(trainer.croppers, attr)[branch]) / cfg.cropper_lr

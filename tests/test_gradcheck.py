@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from paramcrop import gradcheck
+from paramcrop import gradcheck, simulator
 from paramcrop.errors import NumericsError
 from paramcrop.gradcheck import (
     CHECK_FAMILIES,
@@ -20,12 +20,23 @@ from paramcrop.gradcheck import (
 )
 
 
+def entry_by_entry(f, x: np.ndarray, h: float) -> np.ndarray:
+    """The reference central difference: one scalar *f* call per probe."""
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi.flat[i] += h
+        lo.flat[i] -= h
+        grad.flat[i] = (f(hi) - f(lo)) / (2.0 * h)
+    return grad
+
+
 class TestCentralDifference:
     def test_quadratic_exact_to_truncation(self):
         a = np.array([2.0, -1.0, 0.5])
 
-        def f(x):
-            return float(np.sum(a * x * x))
+        def f(xs):
+            return np.sum(a * xs * xs, axis=1)
 
         x0 = np.array([1.0, 2.0, -3.0])
         grad = central_difference(f, x0, h=1e-6)
@@ -34,13 +45,45 @@ class TestCentralDifference:
     def test_does_not_mutate_input(self):
         x0 = np.array([1.0, 2.0])
         saved = x0.copy()
-        central_difference(lambda x: float(np.sum(x**2)), x0)
+        central_difference(lambda xs: np.sum(xs**2, axis=1), x0)
         np.testing.assert_array_equal(x0, saved)
 
     def test_trig_gradient(self):
         x0 = np.array([[0.3, 1.1], [-0.7, 2.0]])
-        grad = central_difference(lambda x: float(np.sum(np.sin(x))), x0)
+        grad = central_difference(lambda xs: np.sum(np.sin(xs), axis=(1, 2)), x0)
         np.testing.assert_allclose(grad, np.cos(x0), atol=1e-9)
+
+    # One entry; 2n a multiple of the pass size; and 2n that is not.
+    @pytest.mark.parametrize("shape", [(1,), (4, 4), (17,), (3, 5, 7)])
+    def test_matches_an_entry_by_entry_loop_exactly(self, shape):
+        x0 = np.random.default_rng(5).normal(size=shape)
+        scale = np.linspace(-2.0, 3.0, x0.size).reshape(shape)
+
+        def losses(xs):
+            return np.sum((scale * np.sin(xs) + xs**3).reshape(len(xs), -1), axis=1)
+
+        grad = central_difference(losses, x0, h=1e-5)
+        assert grad.shape == shape
+        expected = entry_by_entry(lambda x: losses(x[None])[0], x0, 1e-5)
+        np.testing.assert_array_equal(grad, expected)
+
+    @pytest.mark.parametrize("size", [1, 16, 17, 100])
+    def test_runs_one_call_per_pass(self, size):
+        calls = []
+
+        def losses(xs):
+            calls.append(len(xs))
+            return np.sum(xs, axis=1)
+
+        central_difference(losses, np.zeros(size))
+        passes = -(-2 * size // gradcheck._PASS_PROBES)
+        assert len(calls) == passes
+        assert sum(calls) == 2 * size
+        assert max(calls) <= gradcheck._PASS_PROBES
+
+    def test_fn_must_return_one_loss_per_probe(self):
+        with pytest.raises(ValueError, match="for 4 probes"):
+            central_difference(lambda xs: float(np.sum(xs)), np.zeros(2))
 
 
 class TestMaxRelativeError:
@@ -63,6 +106,32 @@ class TestMaxRelativeError:
             max_relative_error(np.zeros(2), np.zeros(3))
 
 
+# Each family and the backward whose output it checks.
+FAMILY_BACKWARDS = [
+    ("sampler_grid", "sample_backward"),
+    ("interval_map", "clamp_params_backward"),
+    ("grid_transform", "transform_grid_backward"),
+    ("nt_xent", "nt_xent_backward"),
+    ("encoder", "encode_backward"),
+    ("generator_mlp", "mlp_backward"),
+    ("full_chain", "generate_backward"),
+]
+
+
+def mutate_backward(monkeypatch, backward: str, mutate) -> None:
+    """Make gradcheck's *backward* apply *mutate* to every array it returns."""
+    def mutated(out):
+        if isinstance(out, dict):
+            return {key: mutated(value) for key, value in out.items()}
+        if isinstance(out, tuple):
+            return tuple(mutated(value) for value in out)
+        return mutate(out)
+
+    original = getattr(gradcheck, backward)
+    monkeypatch.setattr(gradcheck, backward,
+                        lambda *args, **kwargs: mutated(original(*args, **kwargs)))
+
+
 class TestFamilies:
     """Each family at a couple of seeds; errors should sit far below 1e-5."""
 
@@ -74,28 +143,17 @@ class TestFamilies:
             worst = max(worst, fn(ss))
         assert worst < gradcheck.DEFAULT_TOLERANCE, name
 
-    @pytest.mark.parametrize("name, backward", [
-        ("sampler_grid", "sample_backward"),
-        ("interval_map", "clamp_params_backward"),
-        ("grid_transform", "transform_grid_backward"),
-        ("nt_xent", "nt_xent_backward"),
-        ("encoder", "encode_backward"),
-        ("generator_mlp", "mlp_backward"),
-        ("full_chain", "generate_backward"),
-    ])
+    @pytest.mark.parametrize("name, backward", FAMILY_BACKWARDS)
     def test_family_fails_on_a_scaled_backward(self, monkeypatch, name, backward):
         # A check that compared the analytic gradient with itself would pass.
-        def scaled(out):
-            if isinstance(out, dict):
-                return {key: scaled(value) for key, value in out.items()}
-            if isinstance(out, tuple):
-                return tuple(scaled(value) for value in out)
-            return 1.001 * out
-
-        original = getattr(gradcheck, backward)
-        monkeypatch.setattr(gradcheck, backward,
-                            lambda *args, **kwargs: scaled(original(*args, **kwargs)))
+        mutate_backward(monkeypatch, backward, lambda grad: 1.001 * grad)
         assert CHECK_FAMILIES[name](np.random.SeedSequence(314)) > 1e-4
+
+    @pytest.mark.parametrize("name, backward", FAMILY_BACKWARDS)
+    def test_family_fails_on_a_nan_backward(self, monkeypatch, name, backward):
+        # max(0.0, nan) is 0.0: a NaN gradient must not fold away to a pass.
+        mutate_backward(monkeypatch, backward, lambda grad: np.full_like(grad, np.nan))
+        assert not CHECK_FAMILIES[name](np.random.SeedSequence(314)) < 1e-4
 
     def test_family_names_cover_every_checked_path(self):
         assert set(CHECK_FAMILIES) == {
@@ -115,6 +173,32 @@ class TestScreening:
         with pytest.raises(NumericsError, match="kink-free probe instance"):
             gradcheck._screened(np.random.SeedSequence(0), never_clear, "probe")
         assert len(tries) == gradcheck._MAX_REBUILDS
+
+
+class TestPasses:
+    def test_full_chain_runs_its_probes_in_passes(self, monkeypatch):
+        # Forwards made after the screened instance is built are the numerical
+        # side; one forward per probe would be 2 * 192 of them.
+        forwards, built = [], []
+
+        def spy_forward(units, *args):
+            forwards.append((bool(built), units.shape))
+            return simulator.chain_forward(units, *args)
+
+        def spy_build(seed_seq):
+            out = build_chain_instance(seed_seq)
+            built.append(out[0])
+            return out
+
+        monkeypatch.setattr(gradcheck, "chain_forward", spy_forward)
+        monkeypatch.setattr(gradcheck, "build_chain_instance", spy_build)
+        gradcheck.check_full_chain(np.random.SeedSequence(314))
+        weights = built[0].croppers.w1.size + built[0].croppers.w2.size
+        assert weights == 192
+        numerical = [shape for after_build, shape in forwards if after_build]
+        assert 0 < len(numerical) <= 2 * -(-weights // gradcheck._PASS_PROBES)
+        assert all(len(shape) == 3 and shape[0] <= gradcheck._PASS_PROBES
+                   for shape in numerical)
 
 
 class TestChainReversal:
