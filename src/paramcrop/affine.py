@@ -41,7 +41,7 @@ class ParamBounds:
         Half-extent ranges; minima must be strictly positive and large
         enough that the smallest crop cube's volume does not underflow to 0.
     angle_range : (float, float)
-        In-plane rotation range in radians.  Default pins the angle to zero.
+        In-plane rotation range in radians, of finite width; default zero.
     detach_bound : float
         Early-stopping band half-width in [0, 0.5].  0 disables early
         stopping entirely; 0.5 stops every gradient.
@@ -55,8 +55,9 @@ class ParamBounds:
     def __post_init__(self) -> None:
         for name in ("spatial_scale_range", "temporal_scale_range", "angle_range"):
             lo, hi = getattr(self, name)
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-                raise ConfigError(f"{name}: need finite min <= max, got ({lo}, {hi})")
+            if not 0.0 <= float(hi) - float(lo) < np.inf:
+                raise ConfigError(
+                    f"{name}: need a finite max - min >= 0, got ({lo}, {hi})")
         for name in ("spatial_scale_range", "temporal_scale_range"):
             lo, hi = getattr(self, name)
             if lo <= 0.0:

@@ -21,7 +21,9 @@ one call; its backward takes one (2N, D) batch.
 The encoder is batch-first: :func:`encode` takes (R, C, T, H, W) clips and
 runs the convolution for all of them as one im2col matmul, and
 :func:`encode_backward` returns the weight gradients summed over the rows.
-A single clip is a leading axis of 1.
+A single clip is a leading axis of 1.  As for ``mlp_forward``, leading axes
+on the weights stack encoders: one batched matmul embeds the same clips under
+each, as (..., R, E) rows.  The backward takes one encoder.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ class LossConfig:
     num_samples: int = 1
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0.0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if not (self.temperature > 0.0 and 1.0 / float(self.temperature) < np.inf):
+            raise ConfigError(f"temperature: need a finite 1 / temperature > 0, "
+                              f"got {self.temperature}")
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
 
@@ -129,12 +132,12 @@ def nt_xent_backward(embeddings: np.ndarray, cfg: LossConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToyEncoder:
-    """Weights of the desk-scale video encoder.
+    """Weights of one video encoder, or a stack of them on shared leading axes.
 
-    conv_weight : (channels_out, channels_in, K, K, K)
-    conv_bias : (channels_out,)
-    proj_weight : (embed_dim, channels_out)
-    proj_bias : (embed_dim,)
+    conv_weight : (..., channels_out, channels_in, K, K, K)
+    conv_bias : (..., channels_out)
+    proj_weight : (..., embed_dim, channels_out)
+    proj_bias : (..., embed_dim)
     """
 
     conv_weight: np.ndarray
@@ -145,11 +148,11 @@ class ToyEncoder:
 
     @property
     def kernel(self) -> int:
-        return self.conv_weight.shape[2]
+        return self.conv_weight.shape[-1]
 
     @property
     def embed_dim(self) -> int:
-        return self.proj_weight.shape[0]
+        return self.proj_weight.shape[-2]
 
     @classmethod
     def initialise(
@@ -179,8 +182,9 @@ class ToyEncoder:
 class EncodeCache:
     """Forward intermediates for :func:`encode_backward`, one row per clip.
 
-    ``conv_pre`` is (R, T', H', W', O): the pre-activation of every output
-    position and conv channel; ``norm`` is (R,).
+    ``conv_pre`` is (..., R, T', H', W', O): the pre-activation of every
+    output position and conv channel; ``norm`` is (..., R).  ``...`` are the
+    encoder's leading axes, which the backward does not take.
     """
 
     video: np.ndarray
@@ -210,7 +214,7 @@ def _im2col(video: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 
 def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]:
-    """Embed R clips with one im2col matmul.
+    """Embed R clips with one im2col matmul, batched over *enc*'s leading axes ``...``.
 
     Parameters
     ----------
@@ -220,42 +224,40 @@ def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]
     Returns
     -------
     (embeddings, cache)
-        ``embeddings`` is (R, embed_dim), each row unit-norm (or zero when
-        its projection vanishes).
+        ``embeddings`` is (..., R, embed_dim), each row unit-norm (or zero
+        when its projection vanishes).
     """
     video = np.asarray(video, dtype=np.float64)
     if video.ndim != 5:
         raise DimensionError(f"video must be (R, C, T, H, W), got {video.shape}")
-    if video.shape[1] != enc.conv_weight.shape[1]:
-        raise DimensionError(
-            f"video has {video.shape[1]} channels, encoder expects "
-            f"{enc.conv_weight.shape[1]}"
-        )
+    lead, (out_ch, in_ch) = enc.conv_weight.shape[:-5], enc.conv_weight.shape[-5:-3]
+    if video.shape[1] != in_ch:
+        raise DimensionError(f"video has {video.shape[1]} channels, expected {in_ch}")
     if min(video.shape[2:]) < enc.kernel:
         raise DimensionError(
             f"every video axis must be >= kernel {enc.kernel}, "
             f"got {video.shape[2:]}"
         )
     cols = _im2col(video, enc.kernel, enc.stride)
-    w_mat = enc.conv_weight.reshape(enc.conv_weight.shape[0], -1)
-    pre = (cols @ w_mat.T).reshape(
-        video.shape[:1] + _feature_shape(video.shape, enc.kernel, enc.stride)
-        + w_mat.shape[:1]
-    )
+    w_mat = enc.conv_weight.reshape(lead + (out_ch, -1))
+    pre = cols @ np.swapaxes(w_mat, -1, -2)
     del cols  # transient: encode_backward rebuilds it from the cached clips
-    pre += enc.conv_bias
-    act = np.maximum(pre, 0.0).reshape(video.shape[0], -1, w_mat.shape[0])
-    pooled = act.sum(axis=1) / act.shape[1]
+    pre += enc.conv_bias[..., None, :]
+    pre = pre.reshape(lead + video.shape[:1]
+                      + _feature_shape(video.shape, enc.kernel, enc.stride) + (out_ch,))
+    act = np.maximum(pre, 0.0).reshape(lead + (video.shape[0], -1, out_ch))
+    pooled = act.sum(axis=-2) / act.shape[-2]
     # An overflowing projection or norm would make the embedding 0 or NaN and
     # the loss collapse to a constant instead of failing; the check raises on
     # either, so the products need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        projected = pooled @ enc.proj_weight.T + enc.proj_bias
-        norm = np.sqrt(np.sum(projected * projected, axis=1))
+        projected = (pooled @ np.swapaxes(enc.proj_weight, -1, -2)
+                     + enc.proj_bias[..., None, :])
+        norm = np.sqrt(np.sum(projected * projected, axis=-1))
     if not np.all(np.isfinite(norm)):
         raise NumericsError("non-finite embedding norm in encoder forward")
-    live = (norm > _NORM_EPS)[:, None]
-    embedding = np.where(live, projected / np.where(live, norm[:, None], 1.0), 0.0)
+    live = (norm > _NORM_EPS)[..., None]
+    embedding = np.where(live, projected / np.where(live, norm[..., None], 1.0), 0.0)
     cache = EncodeCache(video=video, conv_pre=pre, pooled=pooled,
                         projected=projected, norm=norm)
     return embedding, cache
@@ -267,7 +269,7 @@ def encode_backward(
     enc: ToyEncoder,
     input_grad: bool = True,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Gradients of :func:`encode` w.r.t. encoder weights and the input clips.
+    """Gradients of :func:`encode` w.r.t. one encoder's weights and the clips.
 
     Parameters
     ----------
@@ -284,6 +286,8 @@ def encode_backward(
         ``replace(enc, **updated)`` applies an update; each gradient is summed
         over the rows.  ``grad_video`` matches the input clips' shape.
     """
+    if enc.conv_weight.ndim != 5:
+        raise DimensionError(f"backward takes one encoder, got {enc.conv_weight.shape}")
     g_emb = np.asarray(grad_embedding, dtype=np.float64)
     if g_emb.shape != cache.projected.shape:
         raise DimensionError(

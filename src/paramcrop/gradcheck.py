@@ -8,13 +8,12 @@ probes are evaluated in batched passes: a pass stacks at most
 ``_PASS_PROBES`` = 16 perturbed copies of the input on a new leading axis and
 runs them as rows of the family's own batch-first calls (the views of one
 ``resample``, the rows of ``clamp_params``, ``transform_grid`` and
-``encode``, the leading axes of ``nt_xent``, ``mlp_forward``, ``generate``
-and ``chain_forward``).  So a pass holds at most 16 probes' intermediates,
-about 16 times one forward's, and an input of n entries costs
-``ceil(2n / 16)`` calls instead of 2n.  Only the encoder's weight probes run
-one at a time, since ``encode`` takes one set of weights.  The reported
-figure is the worst absolute deviation normalised by the gradient's own
-magnitude::
+``encode``, the leading axes of ``nt_xent``, ``generate`` and
+``chain_forward``, and the leading weight axes of ``mlp_forward`` and
+``encode``).  So a pass holds at most 16 probes' intermediates, about 16
+times one forward's, and an input of n entries costs ``ceil(2n / 16)``
+calls instead of 2n.  The reported figure is the worst absolute deviation
+normalised by the gradient's own magnitude::
 
     err = max|analytic - numeric| / max(max|analytic|, max|numeric|, 1e-12)
 
@@ -273,16 +272,10 @@ def check_encoder(seed_seq: np.random.SeedSequence) -> float:
     grads, grad_video = encode_backward(weight, cache, enc)
 
     def losses(clips, e):
-        return np.sum(weight * encode(clips, e)[0], axis=1)
+        # Weight probes are leading axes of one encode, clip probes its rows.
+        return np.sum(weight * encode(clips, e)[0], axis=-1).ravel()
 
-    def weight_losses(probes):
-        # encode takes no stacked weights, so its weight probes run one by one.
-        rows = zip(*(getattr(probes, key) for key in grads))
-        return np.concatenate([losses(video, replace(probes, **dict(zip(grads, row))))
-                               for row in rows])
-
-    # The input probes are the clip rows of one encode.
-    return max(_weights_error(enc, grads, weight_losses),
+    return max(_weights_error(enc, grads, lambda probes: losses(video, probes)),
                _input_error(grad_video, lambda clips: losses(clips[:, 0], enc), video))
 
 

@@ -58,6 +58,10 @@ class TestParamBounds:
             default_bounds(spatial_scale_range=(1e-160, 1.0),
                            temporal_scale_range=(1e-10, 1.0))
         default_bounds(spatial_scale_range=(1e-6, 1.0))
+        # Finite ends whose span overflows would scale the angle by inf.
+        with pytest.raises(ConfigError, match="angle_range: need a finite max - min"):
+            default_bounds(angle_range=(-1e308, 1e308))
+        default_bounds(angle_range=(-1e308, 0.0))
 
     def test_offset_bounds_shrink_with_scale(self):
         (slo, shi), (tlo, thi) = default_bounds().offset_bounds(0.75, 0.6)

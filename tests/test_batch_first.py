@@ -57,6 +57,7 @@ from paramcrop.simulator import (
 )
 
 ROWS = 4
+ENCODER_FIELDS = ("conv_weight", "conv_bias", "proj_weight", "proj_bias")
 
 
 def assert_close(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -312,8 +313,8 @@ SMALL = TrainConfig(
 
 
 class TestProbeAxis:
-    """Leading probe axes on the loss and the crop chain, as the finite
-    differences use them, match one call per probe."""
+    """Leading probe axes on the loss, the encoder weights and the crop chain,
+    as the finite differences use them, match one call per probe."""
 
     def test_nt_xent_probes_match_single_calls(self, rng):
         cfg = LossConfig(temperature=0.1, num_samples=3)
@@ -368,6 +369,39 @@ class TestProbeAxis:
             assert_close(units[p], one_units)
             assert_close(params[p], one_params)
             assert abs(losses[p] - one_loss) <= 1e-12 * abs(one_loss)
+
+    @pytest.mark.parametrize("probed", ENCODER_FIELDS)
+    def test_encoder_probes_match_single_calls(self, rng, probed):
+        enc = ToyEncoder.initialise(rng, in_channels=2, conv_channels=4, embed_dim=6)
+        clips = rng.uniform(0.0, 1.0, size=(3, 2, 7, 8, 9))
+        # One field carries the probes, the others are broadcast to them.
+        field = getattr(enc, probed)
+        stack = field + rng.normal(scale=0.2, size=(ROWS,) + field.shape)
+        probes = replace(enc, **{
+            name: np.broadcast_to(getattr(enc, name), (ROWS,) + getattr(enc, name).shape)
+            for name in ENCODER_FIELDS
+        })
+        probes = replace(probes, **{probed: stack})
+        emb, cache = encode(clips, probes)
+        assert emb.shape == (ROWS, 3, 6)
+        for p in range(ROWS):
+            one_emb, one_cache = encode(clips, replace(enc, **{probed: stack[p]}))
+            assert_close(emb[p], one_emb)
+            assert_close(cache.conv_pre[p], one_cache.conv_pre)
+        nested = replace(probes, **{
+            name: getattr(probes, name).reshape((2, ROWS // 2) + getattr(enc, name).shape)
+            for name in ENCODER_FIELDS
+        })
+        np.testing.assert_array_equal(encode(clips, nested)[0].reshape(emb.shape), emb)
+
+    def test_encoder_backward_takes_one_encoder(self, rng):
+        enc = ToyEncoder.initialise(rng, in_channels=2, conv_channels=4, embed_dim=6)
+        stacked = replace(enc, **{name: np.stack([getattr(enc, name)] * 2)
+                                  for name in ENCODER_FIELDS})
+        clips = rng.uniform(0.0, 1.0, size=(3, 2, 7, 8, 9))
+        emb, cache = encode(clips, stacked)
+        with pytest.raises(DimensionError, match="one encoder"):
+            encode_backward(np.ones_like(emb), cache, stacked)
 
     def test_learning_forward_rejects_a_probe_axis(self, rng):
         cfg = SMALL

@@ -67,6 +67,11 @@ RANDOM_TINY_TEMPERATURE_CONFIG = {
     "strategy": "random", "temperature": "1e-300",
 }
 
+# Rejected at config time: 1e308 - (-1e308) overflows, so the angle would be
+# scaled by inf; 1 / 1e-310 overflows, so the logits would.
+ANGLE_SPAN_OVERFLOW_CONFIG = {"angle_min": "-1e308", "angle_max": "1e308"}
+SUBNORMAL_TEMPERATURE_CONFIG = {"temperature": "1e-310"}
+
 # Passes validation, but one input grid would need 10^15 float64 (x, y, t)
 # triples; numpy refuses the request without touching memory.
 UNALLOCATABLE_CLIP_CONFIG = (
@@ -260,6 +265,26 @@ class TestErrorPaths:
         assert code == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("pairs, field", [
+        (ANGLE_SPAN_OVERFLOW_CONFIG, "angle_range"),
+        (SUBNORMAL_TEMPERATURE_CONFIG, "temperature"),
+    ], ids=["angle_span", "temperature"])
+    def test_overflowing_knob_exits_2_at_config_time(self, tmp_path, pairs, field,
+                                                     caplog, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(format_kv(pairs))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "run").exists()
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1 and messages[0].startswith(f"config error: {field}:")
+        assert "\n" not in messages[0]
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err + caplog.text
 
     @pytest.mark.parametrize("flag", ["--config"])
     def test_undecodable_config_exits_2(self, tmp_path, flag, caplog):
@@ -508,8 +533,8 @@ _EDGE_CONFIGS = st.fixed_dictionaries(
         "spatial_scale_max": _texts(1e-300, 0.5, 1.0),
         "temporal_scale_min": _texts(5e-324, 1e-300, 1e-12, 0.5, 1.0),
         "temporal_scale_max": _texts(1e-12, 1.0),
-        "angle_min": _texts(-3.2, -0.5, 0.0),
-        "angle_max": _texts(0.0, 0.5, 3.2),
+        "angle_min": _texts(-1e308, -3.2, -0.5, 0.0),
+        "angle_max": _texts(0.0, 0.5, 3.2, 1e308),
         "detach_bound": _texts(0.0, 0.5),
         "random_flip": _texts("true", "false"),
         "pre_crop": _texts("true", "false"),
@@ -517,7 +542,7 @@ _EDGE_CONFIGS = st.fixed_dictionaries(
         "manual_breakpoint": _texts(0.0, 0.999),
         "cropper_lr": _texts(0.05, 1e300),
         "encoder_lr": _texts(0.05, 1e300),
-        "temperature": _texts(1e-300, 0.1),
+        "temperature": _texts(5e-324, 1e-300, 0.1),
     },
 )
 
@@ -540,6 +565,9 @@ class TestConfigProperty:
         "input_shape": "1x4x6x6", "crop_shape": "3x3x3", "batch_size": "2",
     })
     @example(pairs=TINY_TEMPERATURE_CONFIG)
+    @example(pairs={**TINY_TEMPERATURE_CONFIG, "temperature": "5e-324"})
+    @example(pairs={**TINY_TEMPERATURE_CONFIG, "temperature": "0.1",
+                    "angle_min": "-1e308", "angle_max": "1e308"})
     def test_edge_config_runs_exit_0_2_or_3(self, tmp_path_factory, pairs):
         base = tmp_path_factory.getbasetemp()
         path = base / "edge.cfg"

@@ -90,6 +90,11 @@ class TestLossForward:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             LossConfig(temperature=0.0)
+        # logits / temperature would overflow where 1 / temperature does.
+        for tiny in (1e-310, 5e-324):
+            with pytest.raises(ConfigError, match="finite 1 / temperature"):
+                LossConfig(temperature=tiny)
+        LossConfig(temperature=1e-300)
         with pytest.raises(ConfigError):
             LossConfig(num_samples=0)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from paramcrop import gradcheck, simulator
+from paramcrop import contrastive, gradcheck, simulator
 from paramcrop.errors import NumericsError
 from paramcrop.gradcheck import (
     CHECK_FAMILIES,
@@ -199,6 +199,38 @@ class TestPasses:
         assert 0 < len(numerical) <= 2 * -(-weights // gradcheck._PASS_PROBES)
         assert all(len(shape) == 3 and shape[0] <= gradcheck._PASS_PROBES
                    for shape in numerical)
+
+    def test_encoder_runs_its_probes_in_passes(self, monkeypatch):
+        # Weight probes ride encode's leading weight axes, clip probes its
+        # rows; one encode per probe would be 2 * (185 + 240) calls.
+        calls, tries, built = [], [], []
+        build = gradcheck._encoder_instance
+
+        def spy_encode(video, enc):
+            calls.append((bool(built), enc.conv_weight.shape[:-5], len(video)))
+            return contrastive.encode(video, enc)
+
+        def spy_instance(rng):
+            out = build(rng)
+            tries.append(rng)
+            built.extend([out] if out is not None else [])
+            return out
+
+        monkeypatch.setattr(gradcheck, "encode", spy_encode)
+        monkeypatch.setattr(gradcheck, "_encoder_instance", spy_instance)
+        gradcheck.check_encoder(np.random.SeedSequence(314))
+        enc, video = built[0][:2]
+        sizes = [getattr(enc, name).size for name in
+                 ("conv_weight", "conv_bias", "proj_weight", "proj_bias")] + [video.size]
+        assert sizes == [162, 3, 15, 5, 240]
+        passes = sum(-(-2 * n // gradcheck._PASS_PROBES) for n in sizes)
+        assert passes == 21 + 1 + 2 + 1 + 30
+        # Each screening try makes one encode; the rest are the numerical side.
+        numerical = [(lead, rows) for after_build, lead, rows in calls if after_build]
+        assert len(calls) - len(numerical) == len(tries)
+        assert 0 < len(numerical) <= passes
+        assert all(max(lead, default=rows) <= gradcheck._PASS_PROBES
+                   for lead, rows in numerical)
 
 
 class TestChainReversal:
