@@ -21,7 +21,11 @@ one call; its backward takes one (2N, D) batch.
 The encoder is batch-first: :func:`encode` takes (R, C, T, H, W) clips and
 runs the convolution for all of them as one im2col matmul, and
 :func:`encode_backward` returns the weight gradients summed over the rows.
-A single clip is a leading axis of 1.  As for ``mlp_forward``, leading axes
+A single clip is a leading axis of 1.  The forward keeps its im2col matrix
+for the backward, which reads it and never the clips, so it is built once per
+forward-backward pair.  The valid strided convolution reads only the leading
+:func:`footprint` of each clip axis; a caller that builds the clips can build
+just that much and get the same embedding.  As for ``mlp_forward``, leading axes
 on the weights stack encoders: one batched matmul embeds the same clips under
 each, as (..., R, E) rows.  The backward takes one encoder.
 """
@@ -50,6 +54,16 @@ class LossConfig:
                               f"got {self.temperature}")
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
+        # Each of the 2N terms of the loss is at most 2 / temperature, so
+        # their sum is finite while this bound is.
+        try:
+            sum_bound = 4 * self.num_samples / self.temperature
+        except OverflowError:  # a count past the float range
+            sum_bound = np.inf
+        if not sum_bound < np.inf:
+            raise ConfigError(f"temperature: need a finite 4 * num_samples / "
+                              f"temperature, got {self.temperature} at "
+                              f"num_samples = {self.num_samples}")
 
 
 def _check_embeddings(embeddings: np.ndarray, cfg: LossConfig) -> np.ndarray:
@@ -182,12 +196,16 @@ class ToyEncoder:
 class EncodeCache:
     """Forward intermediates for :func:`encode_backward`, one row per clip.
 
-    ``conv_pre`` is (..., R, T', H', W', O): the pre-activation of every
-    output position and conv channel; ``norm`` is (..., R).  ``...`` are the
-    encoder's leading axes, which the backward does not take.
+    ``cols`` is the forward's (R * P, C * K^3) im2col matrix, one row per
+    output position, and ``video_shape`` the (R, C, T, H, W) shape of the
+    clips it was built from.  ``conv_pre`` is (..., R, T', H', W', O): the
+    pre-activation of every output position and conv channel; ``norm`` is
+    (..., R).  ``...`` are the encoder's leading axes, which the backward does
+    not take.
     """
 
-    video: np.ndarray
+    cols: np.ndarray
+    video_shape: tuple[int, ...]
     conv_pre: np.ndarray
     pooled: np.ndarray
     projected: np.ndarray
@@ -196,6 +214,16 @@ class EncodeCache:
 
 def _feature_shape(video_shape: tuple[int, ...], kernel: int, stride: int):
     return tuple((n - kernel) // stride + 1 for n in video_shape[2:])
+
+
+def footprint(shape: tuple[int, ...], kernel: int, stride: int) -> tuple[int, ...]:
+    """The leading extent of each axis of *shape* that a valid convolution of
+    *kernel* and *stride* reads: ``(n - kernel) // stride * stride + kernel``.
+
+    Clips cut to it give the same output positions, from the same voxels, as
+    clips of the full *shape*.
+    """
+    return tuple((n - kernel) // stride * stride + kernel for n in shape)
 
 
 def _im2col(video: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -241,7 +269,6 @@ def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]
     cols = _im2col(video, enc.kernel, enc.stride)
     w_mat = enc.conv_weight.reshape(lead + (out_ch, -1))
     pre = cols @ np.swapaxes(w_mat, -1, -2)
-    del cols  # transient: encode_backward rebuilds it from the cached clips
     pre += enc.conv_bias[..., None, :]
     pre = pre.reshape(lead + video.shape[:1]
                       + _feature_shape(video.shape, enc.kernel, enc.stride) + (out_ch,))
@@ -258,8 +285,8 @@ def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]
         raise NumericsError("non-finite embedding norm in encoder forward")
     live = (norm > _NORM_EPS)[..., None]
     embedding = np.where(live, projected / np.where(live, norm[..., None], 1.0), 0.0)
-    cache = EncodeCache(video=video, conv_pre=pre, pooled=pooled,
-                        projected=projected, norm=norm)
+    cache = EncodeCache(cols=cols, video_shape=video.shape, conv_pre=pre,
+                        pooled=pooled, projected=projected, norm=norm)
     return embedding, cache
 
 
@@ -285,6 +312,9 @@ def encode_backward(
         (``conv_weight``, ``conv_bias``, ``proj_weight``, ``proj_bias``), so
         ``replace(enc, **updated)`` applies an update; each gradient is summed
         over the rows.  ``grad_video`` matches the input clips' shape.
+
+    The weight and clip gradients are read from the cache's im2col matrix and
+    conv weights; the clips themselves are not needed.
     """
     if enc.conv_weight.ndim != 5:
         raise DimensionError(f"backward takes one encoder, got {enc.conv_weight.shape}")
@@ -306,24 +336,22 @@ def encode_backward(
     g_pre = g_pre.reshape(-1, out_ch)
 
     k, s = enc.kernel, enc.stride
-    cols = _im2col(cache.video, k, s)
     grads = {
-        "conv_weight": (g_pre.T @ cols).reshape(enc.conv_weight.shape),
+        "conv_weight": (g_pre.T @ cache.cols).reshape(enc.conv_weight.shape),
         "conv_bias": g_pre.sum(axis=0),
         "proj_weight": g_proj.T @ cache.pooled,
         "proj_bias": g_proj.sum(axis=0),
     }
-    del cols
     if not input_grad:
         return grads, None
 
-    n_ch = cache.video.shape[1]
+    n_ch = cache.video_shape[1]
     g_cols = g_pre @ enc.conv_weight.reshape(out_ch, -1)
     # (R, t, h, w, C, i, j, l) -> (i, j, l, R, C, t, h, w): one strided add
     # per kernel tap.
     g_cols = g_cols.reshape(n_rows, n_t, n_h, n_w, n_ch, k, k, k)
     g_cols = g_cols.transpose(5, 6, 7, 0, 4, 1, 2, 3)
-    grad_video = np.zeros_like(cache.video)
+    grad_video = np.zeros(cache.video_shape)
     for i in range(k):
         for j in range(k):
             for l in range(k):

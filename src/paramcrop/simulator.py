@@ -26,6 +26,10 @@ call.  The sampler hands its coordinate jacobian to the backward, so the
 clips are released right after sampling; and when the detach band masks
 every parameter of a step, the crop gradient is not computed at all, since
 it would be zeroed: the generators receive a zero unit gradient instead.
+The chain transforms and samples only the encoder's footprint of the crop
+grid, the leading points of each axis that its valid strided convolution
+reads (7 x 15 x 15 of the default 8 x 16 x 16), since the other points'
+values and gradients would be dropped or exactly zero.
 
 A run logs one row per step into a structured array of
 :data:`RECORD_DTYPE`, whose fields are the :data:`CSV_HEADER` columns in
@@ -39,6 +43,7 @@ accumulation order is fixed, so identical configs give bit-identical metrics.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -64,6 +69,7 @@ from .contrastive import (
     ToyEncoder,
     encode,
     encode_backward,
+    footprint,
     nt_xent,
     nt_xent_backward,
 )
@@ -88,6 +94,9 @@ CSV_HEADER = "step,loss,iou,dist_raw,dist_norm,v_sp,v_st,v_theta,v_dx,v_dy,v_dt"
 # A run-log row: the step, its loss, batch-mean crop metrics and unit params.
 RECORD_DTYPE = np.dtype([(name, np.int64 if name == "step" else np.float64)
                          for name in CSV_HEADER.split(",")])
+# The most 8-byte values one numpy array can hold: its byte size must fit
+# a signed index.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +245,27 @@ def make_synthetic_batch(
     colour, so position in space *and* time is informative — exactly what a
     crop-placement adversary needs to exploit.  Values are non-negative and
     vary smoothly, which keeps resampling gradients well behaved.
+
+    The blob centre offsets are computed per axis, on (T, 1, W) and (T, H, 1)
+    views, and only the exp runs over every voxel; the values are those of the
+    per-voxel formula, bit for bit.
     """
     if count < 1:
         raise ConfigError(f"batch count must be >= 1, got {count}")
     channels, t_len, h_len, w_len = shape
     grid = generate_grid(t_len, h_len, w_len)
-    x, y, t = grid[..., 0], grid[..., 1], grid[..., 2]
+    # x varies along W only, y along H only and the centres along T only, so
+    # the offsets are taken on (T, 1, W) and (T, H, 1) views; their sum
+    # broadcasts to the full (T, H, W) exp argument.
+    x, y, t = grid[:, :1, :, 0], grid[:, :, :1, 1], grid[:, :1, :1, 2]
     clips = np.empty((count,) + tuple(shape))
     for clip in clips:
         start = rng.uniform(-0.5, 0.5, 2)
         velocity = rng.uniform(-0.5, 0.5, 2)
         radius = rng.uniform(0.2, 0.4)
         colour = rng.uniform(0.5, 1.0, channels)
-        noise = 0.05 * rng.random((channels, t_len, h_len, w_len))
+        noise = rng.random((channels, t_len, h_len, w_len))
+        noise *= 0.05
         cx = start[0] + velocity[0] * t
         cy = start[1] + velocity[1] * t
         blob = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * radius**2))
@@ -356,6 +373,12 @@ class TrainConfig:
                 raise ConfigError(
                     f"crop_shape: axis {axis} ({crop_n}) exceeds input ({full_n})"
                 )
+        for names, what, count in self._array_sizes():
+            if count > _MAX_VALUES:
+                raise ConfigError(
+                    f"{', '.join(names)}: the {what} would hold {count} 8-byte "
+                    f"values, more than numpy can index ({_MAX_VALUES})"
+                )
         object.__setattr__(
             self, "loss_cfg", LossConfig(self.temperature, self.batch_size)
         )
@@ -378,6 +401,43 @@ class TrainConfig:
             raise ConfigError(
                 f"manual_breakpoint: must lie in [0, 1), got {self.manual_breakpoint}"
             )
+
+    def _array_sizes(self) -> list[tuple[tuple[str, ...], str, int]]:
+        """``(fields, array, count of 8-byte values)`` of the arrays a run allocates.
+
+        Counted for every strategy, with the clips one per crop row and the
+        crops and jacobian at the encoder's footprint.  The run's encoder has
+        kernel 3 and stride 2 (``ToyEncoder.initialise``'s defaults).
+        """
+        rows, (channels, *axes) = 2 * self.batch_size, self.input_shape
+        clip = math.prod(axes)
+        crop = math.prod(footprint(self.crop_shape, 3, 2))
+        positions = math.prod((n - 3) // 2 + 1 for n in self.crop_shape)
+        shape = ("batch_size", "input_shape")
+        return [
+            (shape, "clips", rows * channels * clip),
+            (shape, "pre-crop grids", rows * clip * 3),
+            (shape + ("crop_shape",), "sampler jacobian", rows * 3 * channels * crop),
+            (shape + ("crop_shape",), "im2col matrix", rows * positions * channels * 27),
+            (("batch_size", "crop_shape", "conv_channels"), "conv pre-activations",
+             rows * positions * self.conv_channels),
+            (("input_shape", "conv_channels"), "conv weights",
+             self.conv_channels * channels * 27),
+            (("embed_dim", "conv_channels"), "projection weights",
+             self.embed_dim * self.conv_channels),
+            (("batch_size", "embed_dim"), "embeddings", rows * self.embed_dim),
+            (("batch_size",), "loss logits", rows * rows),
+            (("batch_size", "noise_dim"), "generator noise", rows * self.noise_dim),
+            (("batch_size", "hidden_dim"), "generator hidden layer",
+             rows * self.hidden_dim),
+            (("noise_dim", "hidden_dim"), "generator weights",
+             2 * self.noise_dim * self.hidden_dim),
+            (("probe_samples", "noise_dim"), "probe noise",
+             2 * self.probe_samples * self.noise_dim),
+            (("probe_samples", "hidden_dim"), "probe hidden layer",
+             2 * self.probe_samples * self.hidden_dim),
+            (("steps",), "run log", self.steps * len(RECORD_DTYPE)),
+        ]
 
 
 def config_to_pairs(cfg: TrainConfig) -> dict[str, str]:
@@ -509,7 +569,11 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
     """``(loss, params, tape)`` of the crops that (..., 2N, 6) *units* cut from *clips*.
 
     *clips* are N clips (both views of clip ``k`` read clip ``k``) or one per
-    row, and are released once sampled.  *params* are the physical params,
+    row, and are released once sampled.  Only the encoder's
+    :func:`~paramcrop.contrastive.footprint` of *crop_grid* is transformed and
+    sampled: the crops, and the jacobian, cover the leading points of each
+    axis that the encoder reads, and give the loss of the full grid.
+    *params* are the physical params,
     shaped like *units*; *tape* is ``(bounds, crop_grid, encoder, loss_cfg,
     units, params, mask, jacobian, embeddings, enc_cache)``.  Its mask is the
     detach band's if *learn* (the generators learn from this forward), else
@@ -531,7 +595,8 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
     # views are contiguous in the grids without a copy.
     n_clips, probes = len(clips), int(np.prod(lead))
     rows = units.reshape((probes, n_clips, -1, 6)).swapaxes(0, 1).reshape(-1, 6)
-    params, grids = crop_grids(rows, bounds, crop_grid)
+    t, h, w = footprint(crop_grid.shape[:-1], encoder.kernel, encoder.stride)
+    params, grids = crop_grids(rows, bounds, crop_grid[:t, :h, :w])
     views = grids.reshape((n_clips, -1) + grids.shape[1:])
     del grids
     if mask is not None and mask.any():
@@ -554,7 +619,11 @@ def chain_backward(tape):
     """Encoder gradients and the (2N, 6) unit gradient of the loss on *tape*.
 
     The unit gradient passes through the tape's detach mask, is not
-    reversed, and is zero when the forward ran without a jacobian.
+    reversed, and is zero when the forward ran without a jacobian.  The
+    coordinate gradient of the sampled footprint is placed in a zero gradient
+    over the whole crop grid, so the grid reductions of
+    :func:`~paramcrop.affine.transform_grid_backward` sum what a full-grid
+    chain sums, where the points outside the footprint contribute exact zeros.
     """
     (bounds, crop_grid, encoder, loss_cfg, units, params, mask, jacobian,
      embeddings, enc_cache) = tape
@@ -564,9 +633,13 @@ def chain_backward(tape):
     )
     if jacobian is None:
         return enc_grads, np.zeros_like(units)
-    grad_params = transform_grid_backward(
-        sample_backward(grad_crops, jacobian), crop_grid, params
-    )
+    # Zero outside the footprint, laid out axis-major per row as
+    # sample_backward's are, so the reductions over the grid read the same
+    # strides, and sum the same values in the same order, as on a full crop.
+    grad_coords = np.moveaxis(np.zeros((len(units), 3) + crop_grid.shape[:-1]), 1, -1)
+    t, h, w = grad_crops.shape[2:]
+    grad_coords[:, :t, :h, :w] = sample_backward(grad_crops, jacobian)
+    grad_params = transform_grid_backward(grad_coords, crop_grid, params)
     return enc_grads, clamp_params_backward(grad_params, units, bounds, mask)
 
 

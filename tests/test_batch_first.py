@@ -494,3 +494,60 @@ def test_step_moves_croppers_by_reversed_loss_gradient():
             applied = (getattr(before, attr)[branch]
                        - getattr(trainer.croppers, attr)[branch]) / cfg.cropper_lr
             assert max_relative_error(applied, numeric) < 1e-5, (branch, attr)
+
+
+# The crop chain samples only the encoder's footprint of the crop grid: the
+# leading (n - 3) // 2 * 2 + 3 points of each axis, which the valid stride-2,
+# kernel-3 convolution reads.  Those tests pin it against a reference chain
+# that samples the full grid, assembled here from the public functions.
+
+
+def _full_grid_chain(units, clips, cfg, crop_grid, encoder):
+    """Loss, encoder gradients and unit gradient with every crop point sampled."""
+    mask = apply_early_stop(units, cfg.bounds.detach_bound)
+    params, grids = crop_grids(units, cfg.bounds, crop_grid)
+    crops, jacobian = sample(clips, grids.reshape((len(clips), -1) + grids.shape[1:]))
+    embeddings, cache = encode(crops, encoder)
+    loss = nt_xent(embeddings, cfg.loss_cfg)
+    enc_grads, grad_crops = encode_backward(
+        nt_xent_backward(embeddings, cfg.loss_cfg), cache, encoder)
+    grad_params = transform_grid_backward(
+        sample_backward(grad_crops, jacobian), crop_grid, params)
+    return loss, enc_grads, clamp_params_backward(grad_params, units, cfg.bounds, mask)
+
+
+@pytest.mark.parametrize("angles", [(0.0, 0.0), (-0.3, 0.3)], ids=["axis", "rotated"])
+@pytest.mark.parametrize("base", [TrainConfig(), SMALL], ids=["default", "small"])
+def test_footprint_chain_matches_full_grid_chain_bit_for_bit(rng, base, angles):
+    cfg = replace(base, detach_bound=0.0, angle_min=angles[0], angle_max=angles[1])
+    trainer = _Trainer(cfg)
+    units = rng.random((2 * cfg.batch_size, 6))
+    clips = make_synthetic_batch(rng, cfg.batch_size, cfg.input_shape)
+    loss, _, tape = chain_forward(units, clips, cfg.bounds, trainer.crop_grid,
+                                  trainer.encoder, cfg.loss_cfg, True)
+    enc_grads, grad_units = chain_backward(tape)
+    ref_loss, ref_grads, ref_units = _full_grid_chain(
+        units, clips, cfg, trainer.crop_grid, trainer.encoder)
+    assert loss == ref_loss
+    assert np.any(grad_units)
+    np.testing.assert_array_equal(grad_units, ref_units)
+    for key, value in ref_grads.items():
+        np.testing.assert_array_equal(enc_grads[key], value)
+
+
+@pytest.mark.parametrize("base, views", [
+    (TrainConfig(), (7, 15, 15)),
+    (SMALL, (3, 5, 5)),
+], ids=["default", "small"])
+def test_sampler_reads_only_the_encoder_footprint(monkeypatch, base, views):
+    seen = []
+    for name in ("sample", "resample"):
+        real = getattr(simulator, name)
+        monkeypatch.setattr(
+            simulator, name,
+            lambda clips, grid, real=real, name=name:
+                seen.append((name, grid.shape)) or real(clips, grid))
+    for strategy in ("paramcrop", "random"):
+        _Trainer(replace(base, strategy=strategy)).step(0)
+    expected = (base.batch_size, 2) + views + (3,)
+    assert seen == [("sample", expected), ("resample", expected)]

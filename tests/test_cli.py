@@ -72,6 +72,21 @@ RANDOM_TINY_TEMPERATURE_CONFIG = {
 ANGLE_SPAN_OVERFLOW_CONFIG = {"angle_min": "-1e308", "angle_max": "1e308"}
 SUBNORMAL_TEMPERATURE_CONFIG = {"temperature": "1e-310"}
 
+# Sizes past what a numpy array can hold (2^60 8-byte values on a 64-bit
+# index), as text: each integer field and input axis at one of them is
+# rejected at config time.
+HUGE_SIZES = [str(2**60), str(2**63), "9" * 400]
+SIZE_FIELDS = ["steps", "batch_size", "noise_dim", "hidden_dim", "embed_dim",
+               "conv_channels", "probe_samples"]
+
+
+def huge_input_shape(axis: int, size: str, shape: str) -> str:
+    """*shape* with axis *axis* set to *size*."""
+    dims = shape.split("x")
+    dims[axis] = size
+    return "x".join(dims)
+
+
 # Passes validation, but one input grid would need 10^15 float64 (x, y, t)
 # triples; numpy refuses the request without touching memory.
 UNALLOCATABLE_CLIP_CONFIG = (
@@ -283,6 +298,26 @@ class TestErrorPaths:
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 1 and messages[0].startswith(f"config error: {field}:")
         assert "\n" not in messages[0]
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err + caplog.text
+
+    @pytest.mark.parametrize("size", HUGE_SIZES, ids=["2^60", "2^63", "400_digits"])
+    @pytest.mark.parametrize("field, axis", [
+        *((name, None) for name in SIZE_FIELDS), *(("input_shape", a) for a in range(4)),
+    ], ids=[*SIZE_FIELDS, *(f"input_axis{a}" for a in range(4))])
+    def test_unrepresentable_size_exits_2(self, tmp_path, field, axis, size,
+                                          caplog, capsys):
+        pairs = {**parse_kv(TINY_CONFIG), "steps": "1"}
+        pairs[field] = size if axis is None else huge_input_shape(
+            axis, size, pairs["input_shape"])
+        path = tmp_path / "huge.cfg"
+        path.write_text(format_kv(pairs))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1 and messages[0].startswith("config error: ")
+        assert field in messages[0].split(":")[1] and "\n" not in messages[0]
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err + caplog.text
 
@@ -515,7 +550,7 @@ def _texts(*values) -> st.SearchStrategy[str]:
 
 # Configs that pass or fail validation at the edges of each range, on shapes
 # small enough that a one- or two-step run costs milliseconds.
-_EDGE_CONFIGS = st.fixed_dictionaries(
+_SMALL_EDGE_CONFIGS = st.fixed_dictionaries(
     {
         "steps": _texts(1, 2),
         "batch_size": _texts(1, 2),
@@ -545,6 +580,18 @@ _EDGE_CONFIGS = st.fixed_dictionaries(
         "temperature": _texts(5e-324, 1e-300, 0.1),
     },
 )
+# ... and the same with at most one integer field or input axis, or the seed,
+# set past numpy's sizes: a size is rejected at config time, a seed runs.
+_HUGE_FIELD = st.one_of(
+    st.tuples(st.sampled_from(SIZE_FIELDS + ["seed"]), st.sampled_from(HUGE_SIZES)),
+    st.tuples(st.just("input_shape"), st.builds(
+        huge_input_shape, st.integers(0, 3), st.sampled_from(HUGE_SIZES),
+        st.sampled_from(["1x4x6x6", "2x3x5x4"]))),
+)
+_EDGE_CONFIGS = st.builds(
+    lambda pairs, extra: {**pairs, **dict(extra)},
+    _SMALL_EDGE_CONFIGS, st.lists(_HUGE_FIELD, max_size=1),
+)
 
 
 class TestConfigProperty:
@@ -568,6 +615,12 @@ class TestConfigProperty:
     @example(pairs={**TINY_TEMPERATURE_CONFIG, "temperature": "5e-324"})
     @example(pairs={**TINY_TEMPERATURE_CONFIG, "temperature": "0.1",
                     "angle_min": "-1e308", "angle_max": "1e308"})
+    @example(pairs={**TINY_TEMPERATURE_CONFIG, "steps": "1", "batch_size": "9" * 400})
+    @example(pairs={**TINY_TEMPERATURE_CONFIG, "batch_size": str(2**60)})
+    @example(pairs={**TINY_TEMPERATURE_CONFIG, "probe_samples": str(2**63)})
+    @example(pairs={**TINY_TEMPERATURE_CONFIG, "temperature": "0.1",
+                    "input_shape": huge_input_shape(3, str(2**60), "2x3x5x4")})
+    @example(pairs={**TINY_TEMPERATURE_CONFIG, "temperature": "0.1", "seed": "9" * 400})
     def test_edge_config_runs_exit_0_2_or_3(self, tmp_path_factory, pairs):
         base = tmp_path_factory.getbasetemp()
         path = base / "edge.cfg"

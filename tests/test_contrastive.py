@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from paramcrop import contrastive
 from paramcrop.contrastive import (
     LossConfig,
     ToyEncoder,
@@ -97,6 +98,11 @@ class TestLossForward:
         LossConfig(temperature=1e-300)
         with pytest.raises(ConfigError):
             LossConfig(num_samples=0)
+        # 1 / 1e-308 is finite, but the summed loss over 2N rows, up to
+        # 4 * num_samples / temperature, would overflow.
+        with pytest.raises(ConfigError, match=r"finite 4 \* num_samples / temperature"):
+            LossConfig(temperature=1e-308, num_samples=2)
+        LossConfig(temperature=1e-300, num_samples=2)
 
 
 class TestLossBackward:
@@ -242,3 +248,15 @@ class TestEncoderBackward:
         # windows start at 0, 2, 4 (h) and 0, 2, 4, 6 (w); they cover
         # h-indices 0..6 of 8 and w-indices 0..8 of 9.
         np.testing.assert_array_equal(grad_video[:, :, :, 7, :], 0.0)
+
+
+def test_forward_and_backward_build_one_im2col(monkeypatch, encoder):
+    calls = []
+    real = contrastive._im2col
+    monkeypatch.setattr(contrastive, "_im2col",
+                        lambda *args: calls.append(args[0].shape) or real(*args))
+    clips = np.random.default_rng(3).uniform(size=(3, 2, 7, 8, 9))
+    emb, cache = encode(clips, encoder)
+    _, grad_video = encode_backward(np.ones_like(emb), cache, encoder)
+    assert calls == [clips.shape]
+    assert grad_video.shape == clips.shape

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from paramcrop.affine import clamp_params
+from paramcrop.affine import clamp_params, generate_grid
 from paramcrop.errors import ConfigError, UnsupportedMetricError
 from paramcrop.simulator import (
     CSV_HEADER,
@@ -225,6 +225,33 @@ class TestSyntheticBatch:
     def test_bad_count(self):
         with pytest.raises(ConfigError):
             make_synthetic_batch(np.random.default_rng(0), 0, (1, 4, 4, 4))
+
+    @pytest.mark.parametrize("shape", [(3, 16, 32, 32), (2, 2, 2, 2), (1, 5, 2, 7),
+                                       (2, 3, 9, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_matches_per_voxel_formula(self, seed, shape):
+        """Offsets taken per axis give the bytes of the per-voxel formula."""
+        def per_voxel(rng, count):
+            channels, t_len, h_len, w_len = shape
+            grid = generate_grid(t_len, h_len, w_len)
+            x, y, t = grid[..., 0], grid[..., 1], grid[..., 2]
+            clips = np.empty((count,) + shape)
+            for clip in clips:
+                start = rng.uniform(-0.5, 0.5, 2)
+                velocity = rng.uniform(-0.5, 0.5, 2)
+                radius = rng.uniform(0.2, 0.4)
+                colour = rng.uniform(0.5, 1.0, channels)
+                noise = 0.05 * rng.random((channels, t_len, h_len, w_len))
+                cx = start[0] + velocity[0] * t
+                cy = start[1] + velocity[1] * t
+                blob = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * radius**2))
+                np.multiply(colour[:, None, None, None], blob, out=clip)
+                clip += noise
+            return clips
+
+        expected = per_voxel(np.random.default_rng(seed), 3)
+        actual = make_synthetic_batch(np.random.default_rng(seed), 3, shape)
+        np.testing.assert_array_equal(actual, expected)
 
 
 class TestTrainConfig:
