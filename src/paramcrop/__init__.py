@@ -34,7 +34,6 @@ from .errors import (
     NumericsError,
     ParamCropError,
     TrainingError,
-    UnsupportedMetricError,
 )
 from .gradcheck import CheckResult, render_report, run_all
 from .paramgen import (
@@ -68,7 +67,7 @@ __all__ = [
     "LossConfig", "ToyEncoder", "encode", "encode_backward", "nt_xent",
     "nt_xent_backward",
     "ParamCropError", "ConfigError", "DimensionError", "NumericsError",
-    "TrainingError", "UnsupportedMetricError",
+    "TrainingError",
     "CheckResult", "render_report", "run_all",
     "CropperState", "SgdMomentum", "mlp_backward", "mlp_forward",
     "reverse_gradient", "sample_noise", "update_weights",

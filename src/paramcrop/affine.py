@@ -1,11 +1,13 @@
 """Crop parameterisation: unit-interval params -> affine matrix -> sampling grid.
 
-A crop is described by six numbers in canonical order: spatial scale, temporal
-scale, in-plane angle, and the three centre offsets (x, y, t).  A generator
-emits them as raw values in (0, 1) ("unit params"); :func:`clamp_params` maps
-them into their admissible physical ranges, where the offset ranges depend on
-the already-mapped scales so that the crop cube can never leave the normalised
-[-1, 1] extent of the source clip.
+A crop is an axis-aligned cube described by six numbers in canonical order:
+spatial scale, temporal scale, an unused column, and the three centre offsets
+(x, y, t).  A generator emits them as raw values in (0, 1) ("unit params");
+:func:`clamp_params` maps them into their admissible physical ranges, where
+the offset ranges depend on the already-mapped scales so that the crop cube
+can never leave the normalised [-1, 1] extent of the source clip.  Column 2
+(``ANGLE``) is always 0 and takes no gradient: it is kept so the generator's
+output width, and so its weight draws, stay those of earlier runs.
 
 Batch-first: crop parameters travel as ``(R, 6)`` arrays, one row per crop in
 canonical order, from :func:`clamp_params` through :func:`build_affine_matrix`
@@ -29,7 +31,7 @@ SPATIAL_SCALE, TEMPORAL_SCALE, ANGLE, OFFSET_X, OFFSET_Y, OFFSET_T = range(6)
 
 @dataclass(frozen=True)
 class ParamBounds:
-    """Static admissible ranges for scales and angle, plus the detach band.
+    """Static admissible ranges for the scales, plus the detach band.
 
     Offset ranges are intentionally absent: they are recomputed from the
     mapped scales (a crop of scale ``s`` centred at offset ``d`` spans
@@ -40,8 +42,6 @@ class ParamBounds:
     spatial_scale_range, temporal_scale_range : (float, float)
         Half-extent ranges; minima must be strictly positive and large
         enough that the smallest crop cube's volume does not underflow to 0.
-    angle_range : (float, float)
-        In-plane rotation range in radians, of finite width; default zero.
     detach_bound : float
         Early-stopping band half-width in [0, 0.5].  0 disables early
         stopping entirely; 0.5 stops every gradient.
@@ -49,17 +49,14 @@ class ParamBounds:
 
     spatial_scale_range: tuple[float, float] = (0.5, 1.0)
     temporal_scale_range: tuple[float, float] = (0.5, 1.0)
-    angle_range: tuple[float, float] = (0.0, 0.0)
     detach_bound: float = 0.2
 
     def __post_init__(self) -> None:
-        for name in ("spatial_scale_range", "temporal_scale_range", "angle_range"):
+        for name in ("spatial_scale_range", "temporal_scale_range"):
             lo, hi = getattr(self, name)
             if not 0.0 <= float(hi) - float(lo) < np.inf:
                 raise ConfigError(
                     f"{name}: need a finite max - min >= 0, got ({lo}, {hi})")
-        for name in ("spatial_scale_range", "temporal_scale_range"):
-            lo, hi = getattr(self, name)
             if lo <= 0.0:
                 raise ConfigError(f"{name}: scale minimum must be positive")
             if hi > 1.0:
@@ -110,25 +107,23 @@ def apply_early_stop(unit_params: np.ndarray, detach_bound: float) -> np.ndarray
 def clamp_params(unit_params: np.ndarray, bounds: ParamBounds) -> np.ndarray:
     """Map (R, 6) unit params to (R, 6) physical params.
 
-    Scales and angle are mapped affinely by their static ranges; offsets are
-    then mapped by ``[scale - 1, 1 - scale]`` using the freshly mapped scales,
-    which guarantees containment of the crop cube for zero angle.
+    Scales are mapped affinely by their static ranges; offsets are then
+    mapped by ``[scale - 1, 1 - scale]`` using the freshly mapped scales,
+    which guarantees containment of the crop cube.  Column 2 is set to 0.
     """
     v = np.asarray(unit_params, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != 6:
         raise DimensionError(f"unit params must have shape (R, 6), got {v.shape}")
     sp_lo, sp_hi = bounds.spatial_scale_range
     st_lo, st_hi = bounds.temporal_scale_range
-    an_lo, an_hi = bounds.angle_range
-    u_sp, u_st, u_an, u_x, u_y, u_t = v.T
+    u_sp, u_st, _, u_x, u_y, u_t = v.T
     sp = sp_lo + u_sp * (sp_hi - sp_lo)
     st = st_lo + u_st * (st_hi - st_lo)
-    angle = an_lo + u_an * (an_hi - an_lo)
     (dx_lo, dx_hi), (dt_lo, dt_hi) = bounds.offset_bounds(sp, st)
     dx = dx_lo + u_x * (dx_hi - dx_lo)
     dy = dx_lo + u_y * (dx_hi - dx_lo)
     dt = dt_lo + u_t * (dt_hi - dt_lo)
-    return np.stack([sp, st, angle, dx, dy, dt], axis=1)
+    return np.stack([sp, st, np.zeros_like(sp), dx, dy, dt], axis=1)
 
 
 def clamp_params_backward(
@@ -156,7 +151,7 @@ def clamp_params_backward(
     Returns
     -------
     (R, 6) ndarray
-        Loss gradient w.r.t. the unit params.
+        Loss gradient w.r.t. the unit params; column 2 is exactly 0.
     """
     g = np.asarray(grad_params, dtype=np.float64)
     v = np.asarray(unit_params, dtype=np.float64)
@@ -168,13 +163,12 @@ def clamp_params_backward(
         )
     sp_lo, sp_hi = bounds.spatial_scale_range
     st_lo, st_hi = bounds.temporal_scale_range
-    an_lo, an_hi = bounds.angle_range
     sp_span = sp_hi - sp_lo
     st_span = st_hi - st_lo
     sp = sp_lo + v[:, SPATIAL_SCALE] * sp_span
     st = st_lo + v[:, TEMPORAL_SCALE] * st_span
 
-    out = np.empty_like(g)
+    out = np.zeros_like(g)
     out[:, SPATIAL_SCALE] = sp_span * (
         g[:, SPATIAL_SCALE]
         + g[:, OFFSET_X] * (1.0 - 2.0 * v[:, OFFSET_X])
@@ -183,7 +177,6 @@ def clamp_params_backward(
     out[:, TEMPORAL_SCALE] = st_span * (
         g[:, TEMPORAL_SCALE] + g[:, OFFSET_T] * (1.0 - 2.0 * v[:, OFFSET_T])
     )
-    out[:, ANGLE] = (an_hi - an_lo) * g[:, ANGLE]
     out[:, OFFSET_X] = 2.0 * (1.0 - sp) * g[:, OFFSET_X]
     out[:, OFFSET_Y] = 2.0 * (1.0 - sp) * g[:, OFFSET_Y]
     out[:, OFFSET_T] = 2.0 * (1.0 - st) * g[:, OFFSET_T]
@@ -193,15 +186,12 @@ def clamp_params_backward(
 def build_affine_matrix(params: np.ndarray) -> np.ndarray:
     """Assemble the (R, 3, 4) crop transforms acting on homogeneous (x, y, t, 1).
 
-    The spatial block scales and rotates in-plane; time is scaled and shifted
-    independently.  Note the off-diagonal sine entries carry no scale factor.
+    The spatial axes share one scale, time has its own, and each axis is
+    shifted by its offset; column 2 of *params* is ignored.
     """
-    sp, st, angle, dx, dy, dt = np.asarray(params, dtype=np.float64).T
-    c, s = np.cos(angle), np.sin(angle)
+    sp, st, _, dx, dy, dt = np.asarray(params, dtype=np.float64).T
     out = np.zeros((len(sp), 3, 4))
-    out[:, 0, 0] = out[:, 1, 1] = sp * c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
+    out[:, 0, 0] = out[:, 1, 1] = sp
     out[:, 2, 2] = st
     out[:, :, 3] = np.stack([dx, dy, dt], axis=1)
     return out
@@ -272,13 +262,14 @@ def transform_grid_backward(
     grid : (..., 3) ndarray
         The *untransformed* grid that was fed to :func:`transform_grid`.
     params : (R, 6) ndarray
-        Parameters each row's matrix was built from (the angle/scale
-        derivative terms depend on them).
+        Parameters each row's matrix was built from.  The matrix is linear
+        in them, so only their row count is read.
 
     Returns
     -------
     (R, 6) ndarray
-        Per-row accumulated gradient in canonical parameter order.
+        Per-row accumulated gradient in canonical parameter order; column 2,
+        which :func:`build_affine_matrix` ignores, is exactly 0.
     """
     g = np.asarray(grad_coords, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
@@ -291,15 +282,10 @@ def transform_grid_backward(
     x, y, t = grid.reshape(-1, 3).T
     g = g.reshape(rows, -1, 3)
     gx, gy, gt = g[..., 0], g[..., 1], g[..., 2]
-    sp = params[:, SPATIAL_SCALE]
-    c, s = np.cos(params[:, ANGLE]), np.sin(params[:, ANGLE])
-    gx_x, gx_y, gy_x, gy_y = gx @ x, gx @ y, gy @ x, gy @ y
 
-    out = np.empty((rows, 6))
-    out[:, SPATIAL_SCALE] = c * gx_x + c * gy_y
+    out = np.zeros((rows, 6))
+    out[:, SPATIAL_SCALE] = gx @ x + gy @ y
     out[:, TEMPORAL_SCALE] = gt @ t
-    # d/dangle of [sp*c, -s; s, sp*c] applied to (x, y).
-    out[:, ANGLE] = (-sp * s * gx_x - c * gx_y) + (c * gy_x - sp * s * gy_y)
     out[:, OFFSET_X] = np.sum(gx, axis=1)
     out[:, OFFSET_Y] = np.sum(gy, axis=1)
     out[:, OFFSET_T] = np.sum(gt, axis=1)

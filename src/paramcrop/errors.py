@@ -25,7 +25,3 @@ class NumericsError(ParamCropError):
 
 class TrainingError(ParamCropError):
     """Training-loop failure (non-finite loss or gradients mid-run)."""
-
-
-class UnsupportedMetricError(ParamCropError):
-    """Requested metric is undefined for the given parameters."""

@@ -215,7 +215,6 @@ def check_interval_map(seed_seq: np.random.SeedSequence) -> float:
     bounds = ParamBounds(
         spatial_scale_range=(rng.uniform(0.3, 0.6), rng.uniform(0.65, 0.95)),
         temporal_scale_range=(rng.uniform(0.3, 0.6), rng.uniform(0.65, 0.95)),
-        angle_range=(rng.uniform(-0.6, -0.1), rng.uniform(0.1, 0.6)),
     )
     unit = rng.random((1, 6))
     weight = rng.normal(size=(1, 6))
@@ -369,7 +368,6 @@ def build_chain_instance(
     bounds = ParamBounds(
         spatial_scale_range=(0.45, 0.9),
         temporal_scale_range=(0.45, 0.9),
-        angle_range=(-0.4, 0.4),
         detach_bound=0.0,
     )
     crop_grid = generate_grid(4, 5, 5)

@@ -49,7 +49,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .affine import (
-    ANGLE,
     OFFSET_T,
     OFFSET_X,
     OFFSET_Y,
@@ -73,7 +72,7 @@ from .contrastive import (
     nt_xent,
     nt_xent_backward,
 )
-from .errors import ConfigError, DimensionError, TrainingError, UnsupportedMetricError
+from .errors import ConfigError, DimensionError, TrainingError
 from .paramgen import (
     CropperState,
     MlpCache,
@@ -127,21 +126,8 @@ class CropCube:
 
 
 def crop_cube(params: np.ndarray) -> CropCube:
-    """Cubes covered by N zero-angle crops given as (N, 6) params.
-
-    Raises
-    ------
-    UnsupportedMetricError
-        If any angle is non-zero: a rotated crop is not axis-aligned, so the
-        interval metrics below do not apply.
-    """
+    """Cubes covered by N crops given as (N, 6) params."""
     params = np.asarray(params, dtype=np.float64)
-    angles = params[:, ANGLE]
-    if np.any(angles != 0.0):
-        raise UnsupportedMetricError(
-            f"crop cube is only defined for zero angle, got "
-            f"{angles[angles != 0.0][0]}"
-        )
     return CropCube(
         center=params[:, [OFFSET_X, OFFSET_Y, OFFSET_T]],
         half=params[:, [SPATIAL_SCALE, SPATIAL_SCALE, TEMPORAL_SCALE]],
@@ -307,7 +293,7 @@ class TrainConfig:
     (frames, height, width) for the crop.  Construction also builds
     ``bounds`` (:class:`~paramcrop.affine.ParamBounds`) and ``loss_cfg``
     (:class:`~paramcrop.contrastive.LossConfig`), which validate the scale,
-    angle, detach and temperature fields, so no other site re-checks them.
+    detach and temperature fields, so no other site re-checks them.
     """
 
     steps: int = 2000
@@ -328,8 +314,6 @@ class TrainConfig:
     spatial_scale_max: float = 1.0
     temporal_scale_min: float = 0.5
     temporal_scale_max: float = 1.0
-    angle_min: float = 0.0
-    angle_max: float = 0.0
     detach_bound: float = 0.2
     noise_dim: int = 16
     hidden_dim: int = 32
@@ -390,7 +374,6 @@ class TrainConfig:
         object.__setattr__(self, "bounds", ParamBounds(
             spatial_scale_range=(self.spatial_scale_min, self.spatial_scale_max),
             temporal_scale_range=(self.temporal_scale_min, self.temporal_scale_max),
-            angle_range=(self.angle_min, self.angle_max),
             detach_bound=self.detach_bound,
         ))
         if not 0.0 <= self.baseline_jitter <= 0.5:
@@ -457,6 +440,10 @@ def config_to_pairs(cfg: TrainConfig) -> dict[str, str]:
     return out
 
 
+# Keys of the removed in-plane rotation, accepted at 0 so old manifests replay.
+_RETIRED_ANGLE_KEYS = ("angle_min", "angle_max")
+
+
 def config_from_pairs(
     pairs: dict[str, str], base: TrainConfig | None = None
 ) -> TrainConfig:
@@ -464,12 +451,23 @@ def config_from_pairs(
 
     Each value is parsed by the type of the field's default, as
     :func:`config_to_pairs` writes it.  Unknown keys and unparsable values
-    raise :class:`ConfigError` naming the offending field.
+    raise :class:`ConfigError` naming the offending field.  The retired
+    rotation keys ``angle_min`` and ``angle_max``, which older manifests hold
+    as 0.0, are dropped when they parse to exactly 0 and rejected otherwise.
     """
     base = base if base is not None else TrainConfig()
     defaults = {f.name: f.default for f in fields(base)}
     updates: dict[str, object] = {}
     for key, text in pairs.items():
+        if key in _RETIRED_ANGLE_KEYS:
+            try:
+                if float(text) == 0.0:
+                    continue
+            except ValueError:
+                pass
+            raise ConfigError(
+                f"angle_range: rotation was removed, so {key} must be 0, got {text!r}"
+            )
         if key not in defaults:
             raise ConfigError(f"unknown config key '{key}'")
         default = defaults[key]
@@ -699,9 +697,6 @@ class _Trainer:
             self.crop_opt = SgdMomentum(cfg.cropper_lr, cfg.momentum)
         self.crop_grid = generate_grid(*cfg.crop_shape)
         self.input_grid = generate_grid(*cfg.input_shape[1:])
-        # Interval metrics assume axis-aligned cubes; a non-zero angle range
-        # makes them undefined, so those columns become NaN.
-        self.metrics_enabled = cfg.angle_min == 0.0 and cfg.angle_max == 0.0
 
     # -- parameter draws ---------------------------------------------------
 
@@ -717,8 +712,6 @@ class _Trainer:
 
     def probe(self) -> tuple[float, float]:
         """Mean overlap/distance of fresh parameter draws before training."""
-        if not self.metrics_enabled:
-            return float("nan"), float("nan")
         cfg = self.cfg
         count = cfg.probe_samples
         if self.adversarial:
@@ -771,7 +764,7 @@ class _Trainer:
                 self.data_rng, n_pairs, cfg.input_shape)),
             cfg.bounds, self.crop_grid, self.encoder, cfg.loss_cfg, self.adversarial,
         )
-        metrics = crop_metrics(params) if self.metrics_enabled else (np.nan,) * 3
+        metrics = crop_metrics(params)
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss at step {index}; unit params "

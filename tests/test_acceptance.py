@@ -13,9 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from paramcrop.affine import clamp_params, generate_grid, transform_grid, \
-    build_affine_matrix
+from paramcrop.affine import ParamBounds, clamp_params, generate_grid, \
+    transform_grid, build_affine_matrix
 from paramcrop.contrastive import LossConfig, nt_xent
+from paramcrop.errors import ConfigError
 from paramcrop.gradcheck import build_chain_instance, chain_cropper_grads, \
     run_all, render_report
 from paramcrop.sampler import resample
@@ -140,6 +141,33 @@ def test_04_containment_ten_thousand_draws():
         if np.any(coords < -1.0) or np.any(coords > 1.0):
             violations += 1
     assert violations == 0
+
+
+def test_04_containment_at_every_accepted_scale_range():
+    """The eight corners of every crop lie in [-1, 1]^3 exactly, for scale
+    ranges from the smallest positive float to 1 that the volume check
+    accepts, at unit params drawn in [0, 1) and at the ends 0 and 1."""
+    minima = [5e-324, 1e-300, 1e-160, 1e-12, 0.25, 0.5, 0.999, 1.0]
+    ranges = sorted({(lo, hi) for lo in minima for hi in (lo, 0.5, 0.75, 1.0)
+                     if lo <= hi})
+    corners = generate_grid(2, 2, 2)
+    rng = np.random.default_rng(4)
+    accepted = 0
+    for spatial in ranges:
+        for temporal in ranges:
+            try:
+                bounds = ParamBounds(spatial_scale_range=spatial,
+                                     temporal_scale_range=temporal)
+            except ConfigError:
+                continue
+            units = np.concatenate([rng.random((1000, 6)), np.zeros((1, 6)),
+                                    np.ones((1, 6)), rng.integers(0, 2, (62, 6))])
+            coords = transform_grid(corners, build_affine_matrix(
+                clamp_params(units, bounds)))
+            assert np.all((-1.0 <= coords) & (coords <= 1.0)), (spatial, temporal)
+            accepted += 1
+    # The volume check rejects only pairs of tiny minima.
+    assert accepted > len(ranges) ** 2 // 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from paramcrop.affine import (
-    ANGLE,
     OFFSET_T,
     OFFSET_X,
     SPATIAL_SCALE,
@@ -32,7 +31,6 @@ def default_bounds(**overrides) -> ParamBounds:
     kwargs = dict(
         spatial_scale_range=(0.5, 1.0),
         temporal_scale_range=(0.5, 1.0),
-        angle_range=(0.0, 0.0),
         detach_bound=0.2,
     )
     kwargs.update(overrides)
@@ -58,10 +56,6 @@ class TestParamBounds:
             default_bounds(spatial_scale_range=(1e-160, 1.0),
                            temporal_scale_range=(1e-10, 1.0))
         default_bounds(spatial_scale_range=(1e-6, 1.0))
-        # Finite ends whose span overflows would scale the angle by inf.
-        with pytest.raises(ConfigError, match="angle_range: need a finite max - min"):
-            default_bounds(angle_range=(-1e308, 1e308))
-        default_bounds(angle_range=(-1e308, 0.0))
 
     def test_offset_bounds_shrink_with_scale(self):
         (slo, shi), (tlo, thi) = default_bounds().offset_bounds(0.75, 0.6)
@@ -148,11 +142,6 @@ class TestClampParams:
             assert abs(dy) <= 1.0 - sp + 1e-15
             assert abs(dt) <= 1.0 - st + 1e-15
 
-    def test_angle_mapping(self):
-        bounds = default_bounds(angle_range=(-0.5, 0.5))
-        assert clamp_params(np.zeros((1, 6)), bounds)[0, ANGLE] == -0.5
-        assert clamp_params(np.ones((1, 6)), bounds)[0, ANGLE] == 0.5
-
     def test_input_shape_checked(self):
         with pytest.raises(DimensionError):
             clamp_params(np.zeros((1, 5)), default_bounds())
@@ -162,8 +151,7 @@ class TestClampBackward:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         bounds = default_bounds(spatial_scale_range=(0.3, 0.9),
-                                temporal_scale_range=(0.5, 0.95),
-                                angle_range=(-0.2, 0.7))
+                                temporal_scale_range=(0.5, 0.95))
         h = 1e-7
         for _ in range(25):
             v = rng.uniform(0.05, 0.95, size=(1, 6))
@@ -214,23 +202,14 @@ class TestAffineMatrix:
                                    np.eye(3, 4), atol=0.0)
 
     def test_known_entries(self):
-        p = params_row(sp=0.5, st=0.75, angle=np.pi / 2, dx=0.1, dy=-0.2, dt=0.3)
+        p = params_row(sp=0.5, st=0.75, angle=0.0, dx=0.1, dy=-0.2, dt=0.3)
         m = build_affine_matrix(p)[0]
-        c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
         expected = np.array([
-            [0.5 * c, -s, 0.0, 0.1],
-            [s, 0.5 * c, 0.0, -0.2],
+            [0.5, 0.0, 0.0, 0.1],
+            [0.0, 0.5, 0.0, -0.2],
             [0.0, 0.0, 0.75, 0.3],
         ])
         np.testing.assert_allclose(m, expected, atol=1e-15)
-
-    def test_rotation_column_is_not_scaled(self):
-        """The sine entries are pure rotation; only cosines carry scale."""
-        p = params_row(0.5, 1.0, 0.3, 0.0, 0.0, 0.0)
-        m = build_affine_matrix(p)[0]
-        assert m[0, 1] == pytest.approx(-np.sin(0.3))
-        assert m[1, 0] == pytest.approx(np.sin(0.3))
-        assert m[0, 0] == pytest.approx(0.5 * np.cos(0.3))
 
 
 class TestGrid:
@@ -276,23 +255,21 @@ class TestTransformGrid:
 
     def test_pointwise_against_manual_formula(self):
         rng = np.random.default_rng(42)
-        p = params_row(0.6, 0.8, 0.4, 0.1, -0.1, 0.05)
+        p = params_row(0.6, 0.8, 0.0, 0.1, -0.1, 0.05)
         m = build_affine_matrix(p)
         g = rng.uniform(-1.0, 1.0, size=(4, 3))
         out = transform_grid(g, m)[0]
         for i in range(4):
             x, y, t = g[i]
-            assert out[i, 0] == pytest.approx(
-                0.6 * np.cos(0.4) * x - np.sin(0.4) * y + 0.1)
-            assert out[i, 1] == pytest.approx(
-                np.sin(0.4) * x + 0.6 * np.cos(0.4) * y - 0.1)
+            assert out[i, 0] == pytest.approx(0.6 * x + 0.1)
+            assert out[i, 1] == pytest.approx(0.6 * y - 0.1)
             assert out[i, 2] == pytest.approx(0.8 * t + 0.05)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         g = rng.uniform(-1.0, 1.0, size=(3, 4, 2, 3))
         upstream = rng.normal(size=g.shape)
-        base = params_row(0.7, 0.6, 0.35, 0.05, -0.15, 0.2)
+        base = params_row(0.7, 0.6, 0.0, 0.05, -0.15, 0.2)
         h = 1e-7
 
         def scalar(vec: np.ndarray) -> float:

@@ -75,15 +75,14 @@ def rng():
 BOUNDS = ParamBounds(
     spatial_scale_range=(0.3, 0.9),
     temporal_scale_range=(0.4, 0.95),
-    angle_range=(-0.5, 0.5),
     detach_bound=0.2,
 )
 
 
 def random_params(rng: np.random.Generator) -> np.ndarray:
-    """(ROWS, 6) physical crop params with non-trivial angles."""
-    return rng.uniform([0.4, 0.4, -0.7, -0.3, -0.3, -0.3],
-                       [0.9, 0.9, 0.7, 0.3, 0.3, 0.3], size=(ROWS, 6))
+    """(ROWS, 6) physical crop params, column 2 at 0."""
+    return rng.uniform([0.4, 0.4, 0.0, -0.3, -0.3, -0.3],
+                       [0.9, 0.9, 0.0, 0.3, 0.3, 0.3], size=(ROWS, 6))
 
 
 class TestParamMapping:
@@ -516,10 +515,11 @@ def _full_grid_chain(units, clips, cfg, crop_grid, encoder):
     return loss, enc_grads, clamp_params_backward(grad_params, units, cfg.bounds, mask)
 
 
-@pytest.mark.parametrize("angles", [(0.0, 0.0), (-0.3, 0.3)], ids=["axis", "rotated"])
-@pytest.mark.parametrize("base", [TrainConfig(), SMALL], ids=["default", "small"])
-def test_footprint_chain_matches_full_grid_chain_bit_for_bit(rng, base, angles):
-    cfg = replace(base, detach_bound=0.0, angle_min=angles[0], angle_max=angles[1])
+# Crops are axis-aligned cubes, which the "-axis" of the ids names.
+@pytest.mark.parametrize("base", [TrainConfig(), SMALL],
+                         ids=["default-axis", "small-axis"])
+def test_footprint_chain_matches_full_grid_chain_bit_for_bit(rng, base):
+    cfg = replace(base, detach_bound=0.0)
     trainer = _Trainer(cfg)
     units = rng.random((2 * cfg.batch_size, 6))
     clips = make_synthetic_batch(rng, cfg.batch_size, cfg.input_shape)

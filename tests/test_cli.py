@@ -22,9 +22,11 @@ from paramcrop.errors import ConfigError
 from paramcrop.kv import format_kv, parse_kv
 from paramcrop.simulator import CSV_HEADER, RECORD_DTYPE, STRATEGIES, TrainConfig
 
+# The retired rotation keys still parse as floats, and only 0 is accepted.
+RETIRED_ANGLE_KEYS = ["angle_min", "angle_max"]
 FLOAT_FIELDS = [
     name for name, value in vars(TrainConfig()).items() if isinstance(value, float)
-]
+] + RETIRED_ANGLE_KEYS
 
 TINY_CONFIG = """\
 # desk-scale smoke configuration
@@ -67,8 +69,8 @@ RANDOM_TINY_TEMPERATURE_CONFIG = {
     "strategy": "random", "temperature": "1e-300",
 }
 
-# Rejected at config time: 1e308 - (-1e308) overflows, so the angle would be
-# scaled by inf; 1 / 1e-310 overflows, so the logits would.
+# Rejected at config time: rotation was removed, so a retired angle key must
+# be 0; 1 / 1e-310 overflows, so the logits would.
 ANGLE_SPAN_OVERFLOW_CONFIG = {"angle_min": "-1e308", "angle_max": "1e308"}
 SUBNORMAL_TEMPERATURE_CONFIG = {"temperature": "1e-310"}
 
@@ -447,6 +449,36 @@ class TestManifestReplay:
                      "--out", str(tmp_path / "replay")]) == 0
         assert ran == [0.1234567891234, 0.3] * 2
 
+    def test_manifest_with_zero_angle_keys_replays(self, tmp_path, config_path):
+        # Manifests written while crops could rotate hold both keys at 0.0.
+        first = tmp_path / "first"
+        assert main(["train", "--config", str(config_path), "--out", str(first)]) == 0
+        old = tmp_path / "old_manifest.txt"
+        old.write_text((first / "manifest.txt").read_text()
+                       + "angle_min = 0.0\nangle_max = 0.0\n")
+        assert main(["train", "--config", str(old), "--out", str(tmp_path / "replay")]) == 0
+        assert (tmp_path / "replay" / "metrics.csv").read_bytes() == \
+            (first / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("pairs", [
+        {"angle_min": "-0.3", "angle_max": "0.0"},
+        {"angle_min": "0.0", "angle_max": "0.3"},
+        {"angle_max": "zero"},
+    ], ids=["angle_min", "angle_max", "unparsable"])
+    def test_nonzero_angle_key_exits_2(self, tmp_path, config_path, pairs,
+                                       caplog, capsys):
+        path = tmp_path / "rotated.cfg"
+        path.write_text(config_path.read_text() + format_kv(pairs))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert messages[0].startswith("config error: angle_range:")
+        assert "rotation was removed" in messages[0] and "\n" not in messages[0]
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err + caplog.text
+
     @pytest.mark.parametrize("extra", ["", "command = inspect\n"],
                              ids=["no_command", "unknown_command"])
     def test_manifest_keys_outside_a_manifest_exit_2(self, tmp_path, config_path,
@@ -633,6 +665,9 @@ class TestConfigProperty:
         # No run overflows on the way silently, and a failed one exits with
         # only its error line.
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            # A successful run's metrics are all defined.
+            assert "nan" not in (base / "edge" / "metrics.csv").read_text()
 
 
 class TestSvg:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from paramcrop.affine import clamp_params, generate_grid
-from paramcrop.errors import ConfigError, UnsupportedMetricError
+from paramcrop.errors import ConfigError
 from paramcrop.simulator import (
     CSV_HEADER,
     CropCube,
@@ -62,11 +62,6 @@ class TestCropCube:
         np.testing.assert_allclose(
             c.intervals, [[[-0.5, 0.5], [-0.5, 0.5], [0.25, 0.75]]])
         assert c.volume == pytest.approx([1.0 * 1.0 * 0.5])
-
-    def test_rotated_crop_rejected(self):
-        p = np.array([[0.5, 0.5, 0.1, 0.0, 0.0, 0.0]])
-        with pytest.raises(UnsupportedMetricError):
-            crop_cube(p)
 
 
 class TestStIou:
@@ -281,7 +276,7 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="temporal_scale"):
             TrainConfig(temporal_scale_min=0.8, temporal_scale_max=0.6)
         with pytest.raises(ConfigError, match="angle"):
-            TrainConfig(angle_min=0.2, angle_max=-0.2)
+            config_from_pairs({"angle_min": "0.2", "angle_max": "-0.2"})
         # The smallest crop cube volume would underflow to 0.
         with pytest.raises(ConfigError, match="spatial_scale"):
             TrainConfig(strategy="hard", spatial_scale_min=1e-300,
@@ -418,14 +413,6 @@ class TestShortRuns:
         for rec in res.records:
             assert rec["iou"] == pytest.approx(1.0, abs=1e-12)
             assert rec["dist_norm"] == 0.0
-
-    def test_rotation_disables_interval_metrics(self):
-        res = run_training(replace(TINY, steps=2, angle_min=-0.3,
-                                   angle_max=0.3))
-        for rec in res.records:
-            assert np.isnan(rec["iou"])
-            assert np.isnan(rec["dist_norm"])
-            assert np.isfinite(rec["loss"])
 
     def test_extra_augmentations_run_deterministically(self):
         cfg = replace(TINY, steps=2, random_flip=True, pre_crop=True)

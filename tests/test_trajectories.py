@@ -43,7 +43,6 @@ BASE = TrainConfig(
 CONFIGS = {
     "paramcrop": BASE,
     "random": replace(BASE, strategy="random"),
-    "rotated": replace(BASE, angle_min=-0.3, angle_max=0.3),
     "flip_precrop": replace(BASE, random_flip=True, pre_crop=True),
     "detach_half": replace(BASE, detach_bound=0.5),
 }
