@@ -1,4 +1,4 @@
-"""Crop parameterisation: unit-interval params -> affine matrix -> sampling grid.
+"""Crop parameterisation: unit-interval params -> per-axis map -> sampling grid.
 
 A crop is an axis-aligned cube described by six numbers in canonical order:
 spatial scale, temporal scale, an unused column, and the three centre offsets
@@ -9,12 +9,16 @@ can never leave the normalised [-1, 1] extent of the source clip.  Column 2
 (``ANGLE``) is always 0 and takes no gradient: it is kept so the generator's
 output width, and so its weight draws, stay those of earlier runs.
 
+A cubic crop's affine map has the linear part ``diag(sp, sp, st)``, so
+:func:`build_affine_matrix` gives it as per-axis scales over offsets, and is
+the one place that pairs parameter columns with the axes (x, y, t);
+:func:`transform_grid` scales and shifts the grid with no matrix product.
+
 Batch-first: crop parameters travel as ``(R, 6)`` arrays, one row per crop in
 canonical order, from :func:`clamp_params` through :func:`build_affine_matrix`
-(``(R, 3, 4)``) and :func:`transform_grid` and back; a single crop is a
-leading axis of 1.  Everything here is differentiable by hand: each forward op
-has a matching ``*_backward`` that propagates loss gradients with plain
-ndarray arithmetic.
+and :func:`transform_grid` and back; a single crop is a leading axis of 1.
+Everything here is differentiable by hand: each forward op has a matching
+``*_backward`` that propagates loss gradients with plain ndarray arithmetic.
 """
 
 from __future__ import annotations
@@ -184,75 +188,66 @@ def clamp_params_backward(
 
 
 def build_affine_matrix(params: np.ndarray) -> np.ndarray:
-    """Assemble the (R, 3, 4) crop transforms acting on homogeneous (x, y, t, 1).
+    """(R, 2, 3) crop maps: scales ``(sp, sp, st)`` over offsets ``(dx, dy, dt)``.
 
-    The spatial axes share one scale, time has its own, and each axis is
-    shifted by its offset; column 2 of *params* is ignored.
+    Column 2 of *params* is ignored.
     """
-    sp, st, _, dx, dy, dt = np.asarray(params, dtype=np.float64).T
-    out = np.zeros((len(sp), 3, 4))
-    out[:, 0, 0] = out[:, 1, 1] = sp
-    out[:, 2, 2] = st
-    out[:, :, 3] = np.stack([dx, dy, dt], axis=1)
-    return out
+    p = np.asarray(params, dtype=np.float64)
+    return np.stack([p[:, [SPATIAL_SCALE, SPATIAL_SCALE, TEMPORAL_SCALE]],
+                     p[:, [OFFSET_X, OFFSET_Y, OFFSET_T]]], axis=1)
+
+
+def grid_axis(n: int) -> np.ndarray:
+    """*n* evenly spaced coordinates from -1 to 1; an axis of one point is 0."""
+    if n == 1:
+        return np.zeros(1)
+    return -1.0 + 2.0 * np.arange(n) / (n - 1)
 
 
 def generate_grid(t_len: int, h_len: int, w_len: int) -> np.ndarray:
     """Evenly spaced normalised sampling grid of shape (T, H, W, 3).
 
     Each grid point stores (x, y, t) coordinates in [-1, 1] with endpoints
-    included; an axis of length 1 collapses to coordinate 0.
+    included (see :func:`grid_axis`).
     """
     for name, n in (("t_len", t_len), ("h_len", h_len), ("w_len", w_len)):
         if n < 1:
             raise DimensionError(f"{name} must be >= 1, got {n}")
-
-    def axis(n: int) -> np.ndarray:
-        if n == 1:
-            return np.zeros(1)
-        return -1.0 + 2.0 * np.arange(n) / (n - 1)
-
-    tc, yc, xc = np.meshgrid(axis(t_len), axis(h_len), axis(w_len), indexing="ij")
+    tc, yc, xc = np.meshgrid(*map(grid_axis, (t_len, h_len, w_len)), indexing="ij")
     return np.ascontiguousarray(np.stack([xc, yc, tc], axis=-1))
 
 
-def transform_grid(grid: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """Apply each of R 3x4 affine matrices to every (x, y, t) point of a grid.
+def transform_grid(grid: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Scale and shift every (x, y, t) point of a grid by each of R crop maps.
 
     Parameters
     ----------
     grid : (..., 3) ndarray
         The shared untransformed grid.
-    matrices : (R, 3, 4) ndarray
-        One crop transform per row; a single crop is a leading axis of 1.
+    maps : (R, 2, 3) ndarray
+        Per-axis scales and offsets from :func:`build_affine_matrix`; a
+        single crop is a leading axis of 1.
 
     Returns
     -------
-    (R, ..., 3) ndarray
+    (R, ..., 3) C-contiguous ndarray
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim < 1 or grid.shape[-1] != 3:
         raise DimensionError(f"grid last axis must be 3, got shape {grid.shape}")
-    matrices = np.asarray(matrices, dtype=np.float64)
-    if matrices.ndim != 3 or matrices.shape[1:] != (3, 4):
-        raise DimensionError(
-            f"affine matrices must be (R, 3, 4), got {matrices.shape}"
-        )
-    rows = matrices.shape[0]
-    # One (P, 3) x (3, 3R) product for all rows rather than R small ones.
-    linear = grid.reshape(-1, 3) @ matrices[:, :, :3].reshape(rows * 3, 3).T
-    out = np.empty((rows,) + grid.shape)
-    np.add(
-        linear.reshape(-1, rows, 3).swapaxes(0, 1),
-        matrices[:, None, :, 3],
-        out=out.reshape(rows, -1, 3),
-    )
+    maps = np.asarray(maps, dtype=np.float64)
+    if maps.ndim != 3 or maps.shape[1:] != (2, 3):
+        raise DimensionError(f"crop maps must be (R, 2, 3), got {maps.shape}")
+    # Into a C-contiguous array: a broadcast result may put the row axis
+    # innermost, which reorders the float sums of later reductions.
+    per_row = (len(maps),) + (1,) * (grid.ndim - 1) + (3,)
+    out = np.empty((len(maps),) + grid.shape)
+    np.multiply(grid, maps[:, 0].reshape(per_row), out=out)
+    out += maps[:, 1].reshape(per_row)
     return out
 
 
-def transform_grid_backward(
-    grad_coords: np.ndarray, grid: np.ndarray, params: np.ndarray
-) -> np.ndarray:
+def transform_grid_backward(grad_coords: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Gradient of :func:`transform_grid` w.r.t. each row's six crop parameters.
 
     Parameters
@@ -261,9 +256,6 @@ def transform_grid_backward(
         Loss gradient w.r.t. the transformed coordinates.
     grid : (..., 3) ndarray
         The *untransformed* grid that was fed to :func:`transform_grid`.
-    params : (R, 6) ndarray
-        Parameters each row's matrix was built from.  The matrix is linear
-        in them, so only their row count is read.
 
     Returns
     -------
@@ -273,12 +265,11 @@ def transform_grid_backward(
     """
     g = np.asarray(grad_coords, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
-    params = np.asarray(params, dtype=np.float64)
-    rows = params.shape[0]
-    if g.shape != (rows,) + grid.shape:
+    if g.shape[1:] != grid.shape or g.ndim != grid.ndim + 1:
         raise DimensionError(
-            f"grad/grid shape mismatch: {g.shape} vs {(rows,) + grid.shape}"
+            f"grad/grid shape mismatch: {g.shape} vs (R,) + {grid.shape}"
         )
+    rows = len(g)
     x, y, t = grid.reshape(-1, 3).T
     g = g.reshape(rows, -1, 3)
     gx, gy, gt = g[..., 0], g[..., 1], g[..., 2]

@@ -39,6 +39,9 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericsError
 
 _NORM_EPS = 1e-12
+# The encoder geometry of a training run: ToyEncoder.initialise's defaults.
+KERNEL = 3
+STRIDE = 2
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ class ToyEncoder:
     conv_bias: np.ndarray
     proj_weight: np.ndarray
     proj_bias: np.ndarray
-    stride: int = 2
+    stride: int = STRIDE
 
     @property
     def kernel(self) -> int:
@@ -175,8 +178,8 @@ class ToyEncoder:
         in_channels: int = 3,
         conv_channels: int = 8,
         embed_dim: int = 32,
-        kernel: int = 3,
-        stride: int = 2,
+        kernel: int = KERNEL,
+        stride: int = STRIDE,
     ) -> "ToyEncoder":
         """Uniform fan-in init, same flavour as common conv initialisers."""
         if kernel < 1 or stride < 1:
@@ -212,8 +215,10 @@ class EncodeCache:
     norm: np.ndarray
 
 
-def _feature_shape(video_shape: tuple[int, ...], kernel: int, stride: int):
-    return tuple((n - kernel) // stride + 1 for n in video_shape[2:])
+def feature_shape(shape: tuple[int, ...], kernel: int, stride: int) -> tuple[int, ...]:
+    """Output positions along each axis of *shape* of a valid convolution of
+    *kernel* and *stride*: ``(n - kernel) // stride + 1``."""
+    return tuple((n - kernel) // stride + 1 for n in shape)
 
 
 def footprint(shape: tuple[int, ...], kernel: int, stride: int) -> tuple[int, ...]:
@@ -232,7 +237,7 @@ def _im2col(video: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     s_r, s_c, s_t, s_h, s_w = video.strides
     # Strided view (R, t, h, w, C, i, j, k) over the clips, copied once.
     windows = np.ndarray(
-        video.shape[:1] + _feature_shape(video.shape, kernel, stride)
+        video.shape[:1] + feature_shape(video.shape[2:], kernel, stride)
         + (video.shape[1],) + (kernel,) * 3,
         dtype=video.dtype,
         buffer=video,
@@ -271,7 +276,7 @@ def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]
     pre = cols @ np.swapaxes(w_mat, -1, -2)
     pre += enc.conv_bias[..., None, :]
     pre = pre.reshape(lead + video.shape[:1]
-                      + _feature_shape(video.shape, enc.kernel, enc.stride) + (out_ch,))
+                      + feature_shape(video.shape[2:], enc.kernel, enc.stride) + (out_ch,))
     act = np.maximum(pre, 0.0).reshape(lead + (video.shape[0], -1, out_ch))
     pooled = act.sum(axis=-2) / act.shape[-2]
     # An overflowing projection or norm would make the embedding 0 or NaN and

@@ -49,25 +49,24 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .affine import (
-    OFFSET_T,
-    OFFSET_X,
-    OFFSET_Y,
-    SPATIAL_SCALE,
-    TEMPORAL_SCALE,
     ParamBounds,
     apply_early_stop,
     build_affine_matrix,
     clamp_params,
     clamp_params_backward,
     generate_grid,
+    grid_axis,
     transform_grid,
     transform_grid_backward,
 )
 from .contrastive import (
+    KERNEL,
+    STRIDE,
     LossConfig,
     ToyEncoder,
     encode,
     encode_backward,
+    feature_shape,
     footprint,
     nt_xent,
     nt_xent_backward,
@@ -127,11 +126,8 @@ class CropCube:
 
 def crop_cube(params: np.ndarray) -> CropCube:
     """Cubes covered by N crops given as (N, 6) params."""
-    params = np.asarray(params, dtype=np.float64)
-    return CropCube(
-        center=params[:, [OFFSET_X, OFFSET_Y, OFFSET_T]],
-        half=params[:, [SPATIAL_SCALE, SPATIAL_SCALE, TEMPORAL_SCALE]],
-    )
+    half, center = build_affine_matrix(params).swapaxes(0, 1)
+    return CropCube(center=center, half=half)
 
 
 def st_iou(a: CropCube, b: CropCube) -> np.ndarray:
@@ -233,17 +229,17 @@ def make_synthetic_batch(
     vary smoothly, which keeps resampling gradients well behaved.
 
     The blob centre offsets are computed per axis, on (T, 1, W) and (T, H, 1)
-    views, and only the exp runs over every voxel; the values are those of the
-    per-voxel formula, bit for bit.
+    arrays, and only the exp runs over every voxel; the values are those of
+    the per-voxel formula, bit for bit.
     """
     if count < 1:
         raise ConfigError(f"batch count must be >= 1, got {count}")
     channels, t_len, h_len, w_len = shape
-    grid = generate_grid(t_len, h_len, w_len)
     # x varies along W only, y along H only and the centres along T only, so
-    # the offsets are taken on (T, 1, W) and (T, H, 1) views; their sum
+    # the offsets are taken on (T, 1, W) and (T, H, 1) arrays; their sum
     # broadcasts to the full (T, H, W) exp argument.
-    x, y, t = grid[:, :1, :, 0], grid[:, :, :1, 1], grid[:, :1, :1, 2]
+    x, y = grid_axis(w_len), grid_axis(h_len)[:, None]
+    t = grid_axis(t_len)[:, None, None]
     clips = np.empty((count,) + tuple(shape))
     for clip in clips:
         start = rng.uniform(-0.5, 0.5, 2)
@@ -343,9 +339,9 @@ class TrainConfig:
             )
         if len(self.input_shape) != 4 or min(self.input_shape) < 1:
             raise ConfigError(f"input_shape: bad dims {self.input_shape}")
-        if len(self.crop_shape) != 3 or min(self.crop_shape) < 3:
+        if len(self.crop_shape) != 3 or min(self.crop_shape) < KERNEL:
             raise ConfigError(
-                f"crop_shape: every crop axis must be >= 3 (encoder kernel), "
+                f"crop_shape: every crop axis must be >= {KERNEL} (encoder kernel), "
                 f"got {self.crop_shape}"
             )
         if min(self.input_shape[1:]) < 2:
@@ -389,23 +385,24 @@ class TrainConfig:
         """``(fields, array, count of 8-byte values)`` of the arrays a run allocates.
 
         Counted for every strategy, with the clips one per crop row and the
-        crops and jacobian at the encoder's footprint.  The run's encoder has
-        kernel 3 and stride 2 (``ToyEncoder.initialise``'s defaults).
+        crops and jacobian at the footprint of the run's encoder, of
+        ``contrastive.KERNEL`` and ``STRIDE``.
         """
         rows, (channels, *axes) = 2 * self.batch_size, self.input_shape
         clip = math.prod(axes)
-        crop = math.prod(footprint(self.crop_shape, 3, 2))
-        positions = math.prod((n - 3) // 2 + 1 for n in self.crop_shape)
+        crop = math.prod(footprint(self.crop_shape, KERNEL, STRIDE))
+        positions = math.prod(feature_shape(self.crop_shape, KERNEL, STRIDE))
+        taps = channels * KERNEL**3
         shape = ("batch_size", "input_shape")
         return [
             (shape, "clips", rows * channels * clip),
             (shape, "pre-crop grids", rows * clip * 3),
             (shape + ("crop_shape",), "sampler jacobian", rows * 3 * channels * crop),
-            (shape + ("crop_shape",), "im2col matrix", rows * positions * channels * 27),
+            (shape + ("crop_shape",), "im2col matrix", rows * positions * taps),
             (("batch_size", "crop_shape", "conv_channels"), "conv pre-activations",
              rows * positions * self.conv_channels),
             (("input_shape", "conv_channels"), "conv weights",
-             self.conv_channels * channels * 27),
+             self.conv_channels * taps),
             (("embed_dim", "conv_channels"), "projection weights",
              self.embed_dim * self.conv_channels),
             (("batch_size", "embed_dim"), "embeddings", rows * self.embed_dim),
@@ -573,7 +570,7 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
     axis that the encoder reads, and give the loss of the full grid.
     *params* are the physical params,
     shaped like *units*; *tape* is ``(bounds, crop_grid, encoder, loss_cfg,
-    units, params, mask, jacobian, embeddings, enc_cache)``.  Its mask is the
+    units, mask, jacobian, embeddings, enc_cache)``.  Its mask is the
     detach band's if *learn* (the generators learn from this forward), else
     None; its jacobian, which the unit gradient needs, is None unless the
     mask has a live entry.
@@ -609,8 +606,8 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
         .reshape(lead + (-1, a.shape[-1])) for a in (embeddings, params)
     )
     loss = nt_xent(embeddings, loss_cfg)
-    return loss, params, (bounds, crop_grid, encoder, loss_cfg, units, params,
-                          mask, jacobian, embeddings, enc_cache)
+    return loss, params, (bounds, crop_grid, encoder, loss_cfg, units, mask,
+                          jacobian, embeddings, enc_cache)
 
 
 def chain_backward(tape):
@@ -623,8 +620,8 @@ def chain_backward(tape):
     :func:`~paramcrop.affine.transform_grid_backward` sum what a full-grid
     chain sums, where the points outside the footprint contribute exact zeros.
     """
-    (bounds, crop_grid, encoder, loss_cfg, units, params, mask, jacobian,
-     embeddings, enc_cache) = tape
+    (bounds, crop_grid, encoder, loss_cfg, units, mask, jacobian, embeddings,
+     enc_cache) = tape
     grad_rows = nt_xent_backward(embeddings, loss_cfg)
     enc_grads, grad_crops = encode_backward(
         grad_rows, enc_cache, encoder, input_grad=jacobian is not None
@@ -637,7 +634,7 @@ def chain_backward(tape):
     grad_coords = np.moveaxis(np.zeros((len(units), 3) + crop_grid.shape[:-1]), 1, -1)
     t, h, w = grad_crops.shape[2:]
     grad_coords[:, :t, :h, :w] = sample_backward(grad_crops, jacobian)
-    grad_params = transform_grid_backward(grad_coords, crop_grid, params)
+    grad_params = transform_grid_backward(grad_coords, crop_grid)
     return enc_grads, clamp_params_backward(grad_params, units, bounds, mask)
 
 

@@ -196,18 +196,19 @@ class TestClampBackward:
 
 
 class TestAffineMatrix:
+    """A crop's map is (2, 3): per-axis scales over offsets, on (x, y, t)."""
+
     def test_identity_parameters(self):
         p = params_row(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(build_affine_matrix(p)[0],
-                                   np.eye(3, 4), atol=0.0)
+                                   [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], atol=0.0)
 
     def test_known_entries(self):
         p = params_row(sp=0.5, st=0.75, angle=0.0, dx=0.1, dy=-0.2, dt=0.3)
         m = build_affine_matrix(p)[0]
         expected = np.array([
-            [0.5, 0.0, 0.0, 0.1],
-            [0.0, 0.5, 0.0, -0.2],
-            [0.0, 0.0, 0.75, 0.3],
+            [0.5, 0.5, 0.75],
+            [0.1, -0.2, 0.3],
         ])
         np.testing.assert_allclose(m, expected, atol=1e-15)
 
@@ -276,7 +277,7 @@ class TestTransformGrid:
             matrix = build_affine_matrix(vec[None])
             return float(np.sum(upstream * transform_grid(g, matrix)[0]))
 
-        grad = transform_grid_backward(upstream[None], g, base)
+        grad = transform_grid_backward(upstream[None], g)
         assert grad.shape == (1, 6)
         grad = grad[0]
         vec0 = base[0]
@@ -285,3 +286,35 @@ class TestTransformGrid:
             e[i] = h
             fd = (scalar(vec0 + e) - scalar(vec0 - e)) / (2.0 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-6), f"param {i}"
+
+    # The training footprint of the default crop (16 rows of 7x15x15) and
+    # the pre-crop grid of the default input (16x32x32).
+    @pytest.mark.parametrize("shape", [(7, 15, 15), (16, 32, 32)],
+                             ids=["footprint", "pre-crop"])
+    def test_equals_homogeneous_product_bit_for_bit(self, shape):
+        rng = np.random.default_rng(7)
+        grid = generate_grid(*shape)
+        params = clamp_params(rng.random((16, 6)), default_bounds())
+        sp, st, _, dx, dy, dt = params.T
+        matrices = np.zeros((16, 3, 4))
+        matrices[:, 0, 0] = matrices[:, 1, 1] = sp
+        matrices[:, 2, 2] = st
+        matrices[:, :, 3] = np.stack([dx, dy, dt], axis=1)
+        homogeneous = np.concatenate([grid, np.ones(shape + (1,))], axis=-1)
+        expected = np.einsum("rij,...j->r...i", matrices, homogeneous)
+        out = transform_grid(grid, build_affine_matrix(params))
+        assert out.shape == (16,) + shape + (3,)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("maps_shape", [(2, 3), (1, 3, 4), (1, 2, 4)])
+    def test_map_shape_checked(self, maps_shape):
+        with pytest.raises(DimensionError):
+            transform_grid(generate_grid(2, 2, 2), np.zeros(maps_shape))
+
+    def test_backward_takes_rows_from_grad(self):
+        grid = generate_grid(2, 3, 4)
+        assert transform_grid_backward(np.ones((5,) + grid.shape), grid).shape == (5, 6)
+        for bad in [np.ones(grid.shape), np.ones((5, 2, 3, 5, 3))]:
+            with pytest.raises(DimensionError):
+                transform_grid_backward(bad, grid)

@@ -122,7 +122,7 @@ class TestParamMapping:
     def test_affine_matrix_rows_match_single_calls(self, rng):
         params = random_params(rng)
         matrices = build_affine_matrix(params)
-        assert matrices.shape == (ROWS, 3, 4)
+        assert matrices.shape == (ROWS, 2, 3)
         for r in range(ROWS):
             assert_close(matrices[r], build_affine_matrix(params[r:r + 1])[0])
 
@@ -252,13 +252,13 @@ class TestGridTransform:
         matrices = build_affine_matrix(params)
         upstream = rng.normal(size=(ROWS,) + grid.shape)
         coords = transform_grid(grid, matrices)
-        grads = transform_grid_backward(upstream, grid, params)
+        grads = transform_grid_backward(upstream, grid)
         assert coords.shape == (ROWS,) + grid.shape
         assert grads.shape == (ROWS, 6)
         for r in range(ROWS):
             assert_close(coords[r], transform_grid(grid, matrices[r:r + 1])[0])
             assert_close(
-                grads[r], transform_grid_backward(upstream[r:r + 1], grid, params[r:r + 1])[0]
+                grads[r], transform_grid_backward(upstream[r:r + 1], grid)[0]
             )
 
     def test_matrix_batch_shape_checked(self):
@@ -504,14 +504,13 @@ def test_step_moves_croppers_by_reversed_loss_gradient():
 def _full_grid_chain(units, clips, cfg, crop_grid, encoder):
     """Loss, encoder gradients and unit gradient with every crop point sampled."""
     mask = apply_early_stop(units, cfg.bounds.detach_bound)
-    params, grids = crop_grids(units, cfg.bounds, crop_grid)
+    _, grids = crop_grids(units, cfg.bounds, crop_grid)
     crops, jacobian = sample(clips, grids.reshape((len(clips), -1) + grids.shape[1:]))
     embeddings, cache = encode(crops, encoder)
     loss = nt_xent(embeddings, cfg.loss_cfg)
     enc_grads, grad_crops = encode_backward(
         nt_xent_backward(embeddings, cfg.loss_cfg), cache, encoder)
-    grad_params = transform_grid_backward(
-        sample_backward(grad_crops, jacobian), crop_grid, params)
+    grad_params = transform_grid_backward(sample_backward(grad_crops, jacobian), crop_grid)
     return loss, enc_grads, clamp_params_backward(grad_params, units, cfg.bounds, mask)
 
 
