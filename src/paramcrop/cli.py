@@ -30,10 +30,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericsError, ParamCropError
-from .gradcheck import run_all, render_report
+from .gradcheck import DEFAULT_NUM_SEEDS, DEFAULT_TOLERANCE, run_all, render_report
 from .kv import format_kv, parse_kv
 from .simulator import (
     CSV_HEADER,
+    STRATEGIES,
     RunResult,
     TrainConfig,
     config_from_pairs,
@@ -255,7 +256,7 @@ _RUN_COMMANDS = {
         (("--strategies", {"help": "comma-separated strategy names "
                            "(default: a compare manifest's, else all five)"}),),
         {"compare_csv": "compare.csv"}, _compare_files,
-        ("strategies", "strategy", "paramcrop,random,simple,hard,manual")),
+        ("strategies", "strategy", ",".join(STRATEGIES))),
     "sweep-detach": _RunCommand(
         "run the same config across detach bounds",
         (("--bounds", {"dest": "detach_bounds", "help": "comma-separated detach bounds "
@@ -310,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="verify analytic gradients against finite differences")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=20,
+    p.add_argument("--seeds", type=int, default=DEFAULT_NUM_SEEDS,
                    help="independent random instances per family")
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_gradcheck)
 
     for name, command in _RUN_COMMANDS.items():

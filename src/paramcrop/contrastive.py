@@ -10,9 +10,15 @@ row (the anchor itself is excluded from the denominator).
 zero-vector guard), so :func:`nt_xent_backward` includes the normalisation
 Jacobian and finite differences on the raw rows agree with it.
 
-The encoder is toy by design: one valid-padded strided 3D convolution, ReLU,
+The encoder is toy by design: one valid-padded 3D convolution, ReLU,
 global average pooling, a linear projection, then L2 normalisation.  It is
-just large enough that crop placement visibly changes the embedding.
+just large enough that crop placement visibly changes the embedding.  Its
+geometry is fixed: a cubic kernel of :data:`KERNEL` = 3 taps at stride
+:data:`STRIDE` = 2 on every axis, which :func:`feature_shape`,
+:func:`footprint` and the im2col read; the weights carry only the channel
+counts.  One row normalisation, :func:`_normalise_rows`, and its backward,
+:func:`_normalise_rows_backward`, serve both the encoder's output and the
+loss's input.
 
 :func:`nt_xent` also takes (..., 2N, D) rows and returns one loss per
 leading index, so finite differences can evaluate many perturbed batches in
@@ -33,13 +39,14 @@ each, as (..., R, E) rows.  The backward takes one encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericsError
 
 _NORM_EPS = 1e-12
-# The encoder geometry of a training run: ToyEncoder.initialise's defaults.
+# The encoder geometry: a cubic kernel of KERNEL taps at STRIDE on every axis.
 KERNEL = 3
 STRIDE = 2
 
@@ -90,6 +97,19 @@ def _normalise_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, norms
 
 
+def _normalise_rows_backward(grad_unit: np.ndarray, unit: np.ndarray,
+                             norms: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the raw rows of :func:`_normalise_rows`, given the
+    gradient w.r.t. its *unit* rows: the radial component is projected out
+    and the rest divided by the norm; zero rows get a zero gradient."""
+    radial = np.sum(grad_unit * unit, axis=-1, keepdims=True)
+    grad = (grad_unit - radial * unit) / np.where(
+        norms > _NORM_EPS, norms, 1.0
+    )[..., None]
+    grad[norms <= _NORM_EPS] = 0.0
+    return grad
+
+
 def _pair_softmax(e: np.ndarray, cfg: LossConfig):
     """Shared forward pieces: unit rows, off-diagonal softmax, partner index."""
     unit, norms = _normalise_rows(e)
@@ -132,14 +152,7 @@ def nt_xent_backward(embeddings: np.ndarray, cfg: LossConfig) -> np.ndarray:
     grad_sim = softmax.copy()
     grad_sim[rows, partner] -= 1.0
     grad_sim /= n_rows * cfg.temperature
-    grad_unit = (grad_sim + grad_sim.T) @ unit
-    # Through row normalisation: project out the radial component.
-    radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
-    grad = (grad_unit - radial * unit) / np.where(
-        norms > _NORM_EPS, norms, 1.0
-    )[:, None]
-    grad[norms <= _NORM_EPS] = 0.0
-    return grad
+    return _normalise_rows_backward((grad_sim + grad_sim.T) @ unit, unit, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +164,20 @@ def nt_xent_backward(embeddings: np.ndarray, cfg: LossConfig) -> np.ndarray:
 class ToyEncoder:
     """Weights of one video encoder, or a stack of them on shared leading axes.
 
-    conv_weight : (..., channels_out, channels_in, K, K, K)
+    conv_weight : (..., channels_out, channels_in, KERNEL, KERNEL, KERNEL)
     conv_bias : (..., channels_out)
     proj_weight : (..., embed_dim, channels_out)
     proj_bias : (..., embed_dim)
+
+    ``kernel`` and ``stride`` are the fixed :data:`KERNEL` and :data:`STRIDE`.
     """
 
     conv_weight: np.ndarray
     conv_bias: np.ndarray
     proj_weight: np.ndarray
     proj_bias: np.ndarray
-    stride: int = STRIDE
-
-    @property
-    def kernel(self) -> int:
-        return self.conv_weight.shape[-1]
+    kernel: ClassVar[int] = KERNEL
+    stride: ClassVar[int] = STRIDE
 
     @property
     def embed_dim(self) -> int:
@@ -175,24 +187,19 @@ class ToyEncoder:
     def initialise(
         cls,
         rng: np.random.Generator,
-        in_channels: int = 3,
-        conv_channels: int = 8,
-        embed_dim: int = 32,
-        kernel: int = KERNEL,
-        stride: int = STRIDE,
+        in_channels: int,
+        conv_channels: int,
+        embed_dim: int,
     ) -> "ToyEncoder":
         """Uniform fan-in init, same flavour as common conv initialisers."""
-        if kernel < 1 or stride < 1:
-            raise ConfigError("kernel and stride must be >= 1")
-        fan_conv = in_channels * kernel**3
+        fan_conv = in_channels * KERNEL**3
         a = 1.0 / np.sqrt(fan_conv)
-        conv_w = rng.uniform(-a, a, size=(conv_channels, in_channels,
-                                          kernel, kernel, kernel))
+        conv_w = rng.uniform(-a, a, size=(conv_channels, in_channels) + (KERNEL,) * 3)
         conv_b = rng.uniform(-a, a, size=conv_channels)
         b = 1.0 / np.sqrt(conv_channels)
         proj_w = rng.uniform(-b, b, size=(embed_dim, conv_channels))
         proj_b = rng.uniform(-b, b, size=embed_dim)
-        return cls(conv_w, conv_b, proj_w, proj_b, stride=stride)
+        return cls(conv_w, conv_b, proj_w, proj_b)
 
 
 @dataclass(frozen=True)
@@ -202,48 +209,50 @@ class EncodeCache:
     ``cols`` is the forward's (R * P, C * K^3) im2col matrix, one row per
     output position, and ``video_shape`` the (R, C, T, H, W) shape of the
     clips it was built from.  ``conv_pre`` is (..., R, T', H', W', O): the
-    pre-activation of every output position and conv channel; ``norm`` is
-    (..., R).  ``...`` are the encoder's leading axes, which the backward does
-    not take.
+    pre-activation of every output position and conv channel; ``embedding``
+    is the returned (..., R, E) unit rows and ``norm`` (..., R) the norms of
+    the projections they normalise.  ``...`` are the encoder's leading axes,
+    which the backward does not take.
     """
 
     cols: np.ndarray
     video_shape: tuple[int, ...]
     conv_pre: np.ndarray
     pooled: np.ndarray
-    projected: np.ndarray
+    embedding: np.ndarray
     norm: np.ndarray
 
 
-def feature_shape(shape: tuple[int, ...], kernel: int, stride: int) -> tuple[int, ...]:
-    """Output positions along each axis of *shape* of a valid convolution of
-    *kernel* and *stride*: ``(n - kernel) // stride + 1``."""
-    return tuple((n - kernel) // stride + 1 for n in shape)
+def feature_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Output positions along each axis of *shape* of the encoder's valid
+    convolution: ``(n - KERNEL) // STRIDE + 1``."""
+    return tuple((n - KERNEL) // STRIDE + 1 for n in shape)
 
 
-def footprint(shape: tuple[int, ...], kernel: int, stride: int) -> tuple[int, ...]:
-    """The leading extent of each axis of *shape* that a valid convolution of
-    *kernel* and *stride* reads: ``(n - kernel) // stride * stride + kernel``.
+def footprint(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The leading extent of each axis of *shape* that the encoder's valid
+    convolution reads: its last window starts at ``(f - 1) * STRIDE`` for
+    ``f`` output positions and spans ``KERNEL`` taps.
 
     Clips cut to it give the same output positions, from the same voxels, as
     clips of the full *shape*.
     """
-    return tuple((n - kernel) // stride * stride + kernel for n in shape)
+    return tuple((f - 1) * STRIDE + KERNEL for f in feature_shape(shape))
 
 
-def _im2col(video: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+def _im2col(video: np.ndarray) -> np.ndarray:
     """(R, C, T, H, W) -> (R * P, C * K^3): one row per output position."""
     video = np.ascontiguousarray(video)
     s_r, s_c, s_t, s_h, s_w = video.strides
     # Strided view (R, t, h, w, C, i, j, k) over the clips, copied once.
     windows = np.ndarray(
-        video.shape[:1] + feature_shape(video.shape[2:], kernel, stride)
-        + (video.shape[1],) + (kernel,) * 3,
+        video.shape[:1] + feature_shape(video.shape[2:])
+        + (video.shape[1],) + (KERNEL,) * 3,
         dtype=video.dtype,
         buffer=video,
-        strides=(s_r, stride * s_t, stride * s_h, stride * s_w, s_c, s_t, s_h, s_w),
+        strides=(s_r, STRIDE * s_t, STRIDE * s_h, STRIDE * s_w, s_c, s_t, s_h, s_w),
     )
-    return windows.reshape(-1, video.shape[1] * kernel**3)
+    return windows.reshape(-1, video.shape[1] * KERNEL**3)
 
 
 def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]:
@@ -264,34 +273,35 @@ def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]
     if video.ndim != 5:
         raise DimensionError(f"video must be (R, C, T, H, W), got {video.shape}")
     lead, (out_ch, in_ch) = enc.conv_weight.shape[:-5], enc.conv_weight.shape[-5:-3]
+    if enc.conv_weight.shape[-3:] != (KERNEL,) * 3:
+        raise DimensionError(
+            f"conv_weight must end in a {KERNEL}x{KERNEL}x{KERNEL} kernel, "
+            f"got shape {enc.conv_weight.shape}"
+        )
     if video.shape[1] != in_ch:
         raise DimensionError(f"video has {video.shape[1]} channels, expected {in_ch}")
-    if min(video.shape[2:]) < enc.kernel:
+    if min(video.shape[2:]) < KERNEL:
         raise DimensionError(
-            f"every video axis must be >= kernel {enc.kernel}, "
-            f"got {video.shape[2:]}"
+            f"every video axis must be >= kernel {KERNEL}, got {video.shape[2:]}"
         )
-    cols = _im2col(video, enc.kernel, enc.stride)
+    cols = _im2col(video)
     w_mat = enc.conv_weight.reshape(lead + (out_ch, -1))
     pre = cols @ np.swapaxes(w_mat, -1, -2)
     pre += enc.conv_bias[..., None, :]
     pre = pre.reshape(lead + video.shape[:1]
-                      + feature_shape(video.shape[2:], enc.kernel, enc.stride) + (out_ch,))
+                      + feature_shape(video.shape[2:]) + (out_ch,))
     act = np.maximum(pre, 0.0).reshape(lead + (video.shape[0], -1, out_ch))
     pooled = act.sum(axis=-2) / act.shape[-2]
     # An overflowing projection or norm would make the embedding 0 or NaN and
     # the loss collapse to a constant instead of failing; the check raises on
     # either, so the products need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        projected = (pooled @ np.swapaxes(enc.proj_weight, -1, -2)
-                     + enc.proj_bias[..., None, :])
-        norm = np.sqrt(np.sum(projected * projected, axis=-1))
+        embedding, norm = _normalise_rows(pooled @ np.swapaxes(enc.proj_weight, -1, -2)
+                                          + enc.proj_bias[..., None, :])
     if not np.all(np.isfinite(norm)):
         raise NumericsError("non-finite embedding norm in encoder forward")
-    live = (norm > _NORM_EPS)[..., None]
-    embedding = np.where(live, projected / np.where(live, norm[..., None], 1.0), 0.0)
     cache = EncodeCache(cols=cols, video_shape=video.shape, conv_pre=pre,
-                        pooled=pooled, projected=projected, norm=norm)
+                        pooled=pooled, embedding=embedding, norm=norm)
     return embedding, cache
 
 
@@ -324,23 +334,19 @@ def encode_backward(
     if enc.conv_weight.ndim != 5:
         raise DimensionError(f"backward takes one encoder, got {enc.conv_weight.shape}")
     g_emb = np.asarray(grad_embedding, dtype=np.float64)
-    if g_emb.shape != cache.projected.shape:
+    if g_emb.shape != cache.embedding.shape:
         raise DimensionError(
             f"grad_embedding shape {g_emb.shape} does not match "
-            f"{cache.projected.shape}"
+            f"{cache.embedding.shape}"
         )
-    live = cache.norm > _NORM_EPS
-    safe = np.where(live, cache.norm, 1.0)[:, None]
-    unit = cache.projected / safe
-    radial = np.sum(unit * g_emb, axis=1, keepdims=True)
-    g_proj = np.where(live[:, None], (g_emb - unit * radial) / safe, 0.0)
+    g_proj = _normalise_rows_backward(g_emb, cache.embedding, cache.norm)
     g_pooled = g_proj @ enc.proj_weight
     n_rows, n_t, n_h, n_w, out_ch = cache.conv_pre.shape
     pre = cache.conv_pre.reshape(n_rows, -1, out_ch)
     g_pre = np.where(pre > 0.0, (g_pooled / pre.shape[1])[:, None, :], 0.0)
     g_pre = g_pre.reshape(-1, out_ch)
 
-    k, s = enc.kernel, enc.stride
+    k, s = KERNEL, STRIDE
     grads = {
         "conv_weight": (g_pre.T @ cache.cols).reshape(enc.conv_weight.shape),
         "conv_bias": g_pre.sum(axis=0),

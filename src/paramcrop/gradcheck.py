@@ -77,6 +77,7 @@ from .simulator import (
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOLERANCE = 1e-5
+DEFAULT_NUM_SEEDS = 20
 _MAX_REBUILDS = 50
 # Probes per pass of central_difference: at most this many perturbed copies
 # of an input, and their intermediates, are alive at once.
@@ -162,27 +163,15 @@ def _screened(seed_seq: np.random.SeedSequence, build, what: str):
     raise NumericsError(f"could not build a kink-free {what} instance")
 
 
-def _coord_clear_of_kinks(
-    coords: np.ndarray, length: int, margin: float
-) -> np.ndarray:
-    """True where a coordinate sits safely inside one interpolation cell."""
-    inside = np.abs(coords) <= 1.0 + margin
-    idx = (np.clip(coords, -1.0, 1.0) + 1.0) * 0.5 * (length - 1)
+def _grid_safe_mask(grid: np.ndarray, dims: tuple[int, int, int], margin: float):
+    """True where an (x, y, t) coordinate of *grid* sits safely inside one
+    interpolation cell of a clip of (T, H, W) *dims*."""
+    length = np.array(dims[::-1])
+    inside = np.abs(grid) <= 1.0 + margin
+    idx = (np.clip(grid, -1.0, 1.0) + 1.0) * 0.5 * (length - 1)
     threshold = margin * (length - 1) * 0.5
     near_edge = np.abs(idx - np.round(idx)) < threshold
     return ~(inside & near_edge)
-
-
-def _grid_safe_mask(grid: np.ndarray, dims: tuple[int, int, int], margin: float):
-    t_len, h_len, w_len = dims
-    return np.stack(
-        [
-            _coord_clear_of_kinks(grid[..., 0], w_len, margin),
-            _coord_clear_of_kinks(grid[..., 1], h_len, margin),
-            _coord_clear_of_kinks(grid[..., 2], t_len, margin),
-        ],
-        axis=-1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +428,7 @@ class CheckResult:
 
 def run_all(
     base_seed: int = 0,
-    num_seeds: int = 20,
+    num_seeds: int = DEFAULT_NUM_SEEDS,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[CheckResult]:
     """Run every family over *num_seeds* independent instances."""

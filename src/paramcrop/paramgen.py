@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError, TrainingError
 
-DEFAULT_NOISE_DIM = 16
-DEFAULT_HIDDEN_DIM = 32
 WEIGHT_INIT_SCALE = 0.01
 
 Weights = TypeVar("Weights")
@@ -53,8 +51,8 @@ class CropperState:
     def initialise(
         cls,
         rng: np.random.Generator,
-        noise_dim: int = DEFAULT_NOISE_DIM,
-        hidden_dim: int = DEFAULT_HIDDEN_DIM,
+        noise_dim: int,
+        hidden_dim: int,
         init_scale: float = WEIGHT_INIT_SCALE,
     ) -> "CropperState":
         """Small-uniform random init so raw outputs start near zero."""

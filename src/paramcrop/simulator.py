@@ -61,7 +61,6 @@ from .affine import (
 )
 from .contrastive import (
     KERNEL,
-    STRIDE,
     LossConfig,
     ToyEncoder,
     encode,
@@ -385,13 +384,12 @@ class TrainConfig:
         """``(fields, array, count of 8-byte values)`` of the arrays a run allocates.
 
         Counted for every strategy, with the clips one per crop row and the
-        crops and jacobian at the footprint of the run's encoder, of
-        ``contrastive.KERNEL`` and ``STRIDE``.
+        crops and jacobian at the encoder's footprint.
         """
         rows, (channels, *axes) = 2 * self.batch_size, self.input_shape
         clip = math.prod(axes)
-        crop = math.prod(footprint(self.crop_shape, KERNEL, STRIDE))
-        positions = math.prod(feature_shape(self.crop_shape, KERNEL, STRIDE))
+        crop = math.prod(footprint(self.crop_shape))
+        positions = math.prod(feature_shape(self.crop_shape))
         taps = channels * KERNEL**3
         shape = ("batch_size", "input_shape")
         return [
@@ -590,7 +588,7 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
     # views are contiguous in the grids without a copy.
     n_clips, probes = len(clips), int(np.prod(lead))
     rows = units.reshape((probes, n_clips, -1, 6)).swapaxes(0, 1).reshape(-1, 6)
-    t, h, w = footprint(crop_grid.shape[:-1], encoder.kernel, encoder.stride)
+    t, h, w = footprint(crop_grid.shape[:-1])
     params, grids = crop_grids(rows, bounds, crop_grid[:t, :h, :w])
     views = grids.reshape((n_clips, -1) + grids.shape[1:])
     del grids

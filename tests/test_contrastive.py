@@ -135,8 +135,7 @@ class TestLossBackward:
 @pytest.fixture
 def encoder():
     rng = np.random.default_rng(42)
-    return ToyEncoder.initialise(rng, in_channels=2, conv_channels=4,
-                                 embed_dim=6, kernel=3, stride=2)
+    return ToyEncoder.initialise(rng, in_channels=2, conv_channels=4, embed_dim=6)
 
 
 @pytest.fixture
@@ -178,11 +177,16 @@ class TestEncoder:
             conv_bias=np.zeros_like(encoder.conv_bias),
             proj_weight=encoder.proj_weight,
             proj_bias=np.zeros_like(encoder.proj_bias),
-            stride=encoder.stride,
         )
         emb, cache = encode(np.zeros((1, 2, 7, 8, 9)), enc)
         np.testing.assert_array_equal(emb, 0.0)
         assert cache.norm[0] == 0.0
+
+    def test_other_kernel_sizes_are_rejected(self, encoder, clip):
+        rng = np.random.default_rng(5)
+        enc = replace(encoder, conv_weight=rng.normal(size=(4, 2, 5, 5, 5)))
+        with pytest.raises(DimensionError, match="kernel"):
+            encode(clip, enc)
 
     def test_overflowing_norm_raises(self, encoder, clip):
         # Each projected entry is finite (about 1e200), but its square is
@@ -237,6 +241,18 @@ class TestEncoderBackward:
             down, _ = encode(bumped, encoder)
             fd = float(np.sum(upstream * (up - down))) / (2 * h)
             assert grad_video[idx] == pytest.approx(fd, abs=1e-7), idx
+
+    def test_zero_embedding_gets_zero_gradients(self, encoder):
+        """A zero clip through zero biases embeds to the zero row, whose
+        normalisation gradient is defined as zero."""
+        enc = replace(encoder, conv_bias=np.zeros_like(encoder.conv_bias),
+                      proj_bias=np.zeros_like(encoder.proj_bias))
+        _, cache = encode(np.zeros((1, 2, 7, 8, 9)), enc)
+        upstream = np.random.default_rng(11).normal(size=(1, encoder.embed_dim))
+        grads, grad_video = encode_backward(upstream, cache, enc)
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, 0.0, err_msg=name)
+        np.testing.assert_array_equal(grad_video, 0.0)
 
     def test_positions_outside_any_window_get_zero_gradient(self, encoder,
                                                             clip):

@@ -175,6 +175,36 @@ class TestScreening:
         assert len(tries) == gradcheck._MAX_REBUILDS
 
 
+class TestKinkMask:
+    @staticmethod
+    def per_axis_mask(grid, dims, margin):
+        """The mask built one axis at a time, (x, y, t) against (W, H, T)."""
+        def clear(coords, length):
+            inside = np.abs(coords) <= 1.0 + margin
+            idx = (np.clip(coords, -1.0, 1.0) + 1.0) * 0.5 * (length - 1)
+            near_edge = np.abs(idx - np.round(idx)) < margin * (length - 1) * 0.5
+            return ~(inside & near_edge)
+
+        t_len, h_len, w_len = dims
+        return np.stack([clear(grid[..., 0], w_len), clear(grid[..., 1], h_len),
+                         clear(grid[..., 2], t_len)], axis=-1)
+
+    @pytest.mark.parametrize("dims", [(5, 6, 7), (2, 9, 3), (8, 10, 10)])
+    @pytest.mark.parametrize("margin", [1e-5, 1e-2, 0.1])
+    def test_matches_the_per_axis_formula(self, dims, margin):
+        rng = np.random.default_rng(sum(dims))
+        # Random points out to beyond +-1, the cell edges of each axis, and
+        # those edges nudged by less than the margin.
+        spread = rng.uniform(-1.5, 1.5, size=(80, 3))
+        edges = np.stack([np.resize(np.linspace(-1.0, 1.0, n), 10) for n in dims[::-1]],
+                         axis=-1)
+        nudged = edges + rng.uniform(-margin, margin, size=edges.shape) * 0.5
+        grid = np.concatenate([spread, edges, nudged])
+        mask = gradcheck._grid_safe_mask(grid, dims, margin)
+        np.testing.assert_array_equal(mask, self.per_axis_mask(grid, dims, margin))
+        assert mask.any() and not mask.all()
+
+
 class TestPasses:
     def test_full_chain_runs_its_probes_in_passes(self, monkeypatch):
         # Forwards made after the screened instance is built are the numerical

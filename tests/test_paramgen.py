@@ -37,14 +37,14 @@ class TestState:
 
     def test_init_scale_respected(self):
         rng = np.random.default_rng(0)
-        s = CropperState.initialise(rng, init_scale=0.01)
+        s = CropperState.initialise(rng, noise_dim=16, hidden_dim=32, init_scale=0.01)
         assert np.abs(s.w1).max() <= 0.01
         assert np.abs(s.w2).max() <= 0.01
 
     def test_bad_dims(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            CropperState.initialise(rng, noise_dim=0)
+            CropperState.initialise(rng, noise_dim=0, hidden_dim=32)
 
 
 class TestForward:
@@ -70,7 +70,7 @@ class TestForward:
 
     def test_near_zero_init_gives_centered_outputs(self):
         rng = np.random.default_rng(3)
-        s = CropperState.initialise(rng, init_scale=0.01)
+        s = CropperState.initialise(rng, noise_dim=16, hidden_dim=32, init_scale=0.01)
         unit, _ = mlp_forward(sample_noise(rng, 1, s.noise_dim), s)
         np.testing.assert_allclose(unit, np.full((1, 6), 0.5), atol=0.01)
 
