@@ -239,11 +239,16 @@ def transform_grid(grid: np.ndarray, maps: np.ndarray) -> np.ndarray:
     if maps.ndim != 3 or maps.shape[1:] != (2, 3):
         raise DimensionError(f"crop maps must be (R, 2, 3), got {maps.shape}")
     # Into a C-contiguous array: a broadcast result may put the row axis
-    # innermost, which reorders the float sums of later reductions.
-    per_row = (len(maps),) + (1,) * (grid.ndim - 1) + (3,)
+    # innermost, which reorders the float sums of later reductions.  One axis
+    # at a time, so numpy's inner loop runs along a grid axis: over the whole
+    # (..., 3) array it ran 3 elements at a time, about 3x slower at the
+    # training shapes.  Each element gets the same product and sum.
+    per_row = (len(maps),) + (1,) * (grid.ndim - 1)
     out = np.empty((len(maps),) + grid.shape)
-    np.multiply(grid, maps[:, 0].reshape(per_row), out=out)
-    out += maps[:, 1].reshape(per_row)
+    for axis in range(3):
+        coords = out[..., axis]
+        np.multiply(grid[..., axis], maps[:, 0, axis].reshape(per_row), out=coords)
+        coords += maps[:, 1, axis].reshape(per_row)
     return out
 
 

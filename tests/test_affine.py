@@ -307,6 +307,25 @@ class TestTransformGrid:
         assert out.flags.c_contiguous
         assert out.tobytes() == expected.tobytes()
 
+    # The footprint slice chain_forward passes (not contiguous), an arbitrary
+    # grid like check_grid_transform's, and a single point.
+    @pytest.mark.parametrize("grid", [
+        generate_grid(8, 16, 16)[:7, :15, :15],
+        np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 3, 4, 3)),
+        np.array([0.25, -0.75, 0.5]),
+    ], ids=["footprint", "random", "point"])
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_equals_broadcast_formula_bit_for_bit(self, grid, rows):
+        params = clamp_params(np.random.default_rng(rows).random((rows, 6)),
+                              default_bounds())
+        maps = build_affine_matrix(params)
+        per_row = (rows,) + (1,) * (grid.ndim - 1) + (3,)
+        expected = grid * maps[:, 0].reshape(per_row) + maps[:, 1].reshape(per_row)
+        out = transform_grid(grid, maps)
+        assert out.shape == (rows,) + grid.shape
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("maps_shape", [(2, 3), (1, 3, 4), (1, 2, 4)])
     def test_map_shape_checked(self, maps_shape):
         with pytest.raises(DimensionError):

@@ -53,8 +53,10 @@ class TestCentralDifference:
         grad = central_difference(lambda xs: np.sum(np.sin(xs), axis=(1, 2)), x0)
         np.testing.assert_allclose(grad, np.cos(x0), atol=1e-9)
 
-    # One entry; 2n a multiple of the pass size; and 2n that is not.
-    @pytest.mark.parametrize("shape", [(1,), (4, 4), (17,), (3, 5, 7)])
+    # One entry; part of one pass; several passes, the last one ragged; and
+    # exactly one full pass.
+    @pytest.mark.parametrize("shape", [(1,), (4, 4), (17,), (3, 5, 7),
+                                       (gradcheck._PASS_PROBES // 2,)])
     def test_matches_an_entry_by_entry_loop_exactly(self, shape):
         x0 = np.random.default_rng(5).normal(size=shape)
         scale = np.linspace(-2.0, 3.0, x0.size).reshape(shape)
@@ -67,7 +69,9 @@ class TestCentralDifference:
         expected = entry_by_entry(lambda x: losses(x[None])[0], x0, 1e-5)
         np.testing.assert_array_equal(grad, expected)
 
-    @pytest.mark.parametrize("size", [1, 16, 17, 100])
+    # One probe pair; one full pass; one pass and a ragged one; several.
+    @pytest.mark.parametrize("size", [1, gradcheck._PASS_PROBES // 2,
+                                      gradcheck._PASS_PROBES // 2 + 1, 100])
     def test_runs_one_call_per_pass(self, size):
         calls = []
 
@@ -254,13 +258,39 @@ class TestPasses:
                  ("conv_weight", "conv_bias", "proj_weight", "proj_bias")] + [video.size]
         assert sizes == [162, 3, 15, 5, 240]
         passes = sum(-(-2 * n // gradcheck._PASS_PROBES) for n in sizes)
-        assert passes == 21 + 1 + 2 + 1 + 30
+        assert passes == 6 + 1 + 1 + 1 + 8
         # Each screening try makes one encode; the rest are the numerical side.
         numerical = [(lead, rows) for after_build, lead, rows in calls if after_build]
         assert len(calls) - len(numerical) == len(tries)
         assert 0 < len(numerical) <= passes
         assert all(max(lead, default=rows) <= gradcheck._PASS_PROBES
                    for lead, rows in numerical)
+
+
+    def test_chain_screen_runs_one_learning_forward_per_try(self, monkeypatch):
+        # The screen and the gradients it returns read the same forward.
+        forwards, tries = [], []
+        screened = gradcheck._screened
+
+        def spy_forward(*args):
+            forwards.append(args[-1])
+            return simulator.chain_forward(*args)
+
+        def spy_screened(seed_seq, build, what):
+            def counted(rng):
+                tries.append(len(forwards))
+                return build(rng)
+            return screened(seed_seq, counted, what)
+
+        monkeypatch.setattr(gradcheck, "chain_forward", spy_forward)
+        monkeypatch.setattr(gradcheck, "_screened", spy_screened)
+        inst, grads = build_chain_instance(np.random.SeedSequence(314))
+        assert tries == list(range(len(tries))) and len(tries) > 1
+        assert forwards == [True] * len(tries)
+        expected = chain_cropper_grads(inst)
+        assert grads.keys() == expected.keys()
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, expected[name])
 
 
 class TestChainReversal:
