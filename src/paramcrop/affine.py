@@ -1,20 +1,18 @@
 """Crop parameterisation: unit-interval params -> per-axis map -> sampling grid.
 
-A crop is an axis-aligned cube described by six numbers in canonical order:
-spatial scale, temporal scale, an unused column, and the three centre offsets
-(x, y, t).  A generator emits them as raw values in (0, 1) ("unit params");
-:func:`clamp_params` maps them into their admissible physical ranges, where
-the offset ranges depend on the already-mapped scales so that the crop cube
-can never leave the normalised [-1, 1] extent of the source clip.  Column 2
-(``ANGLE``) is always 0 and takes no gradient: it is kept so the generator's
-output width, and so its weight draws, stay those of earlier runs.
+A crop is an axis-aligned cube described by five numbers in canonical order:
+spatial scale, temporal scale, and the three centre offsets (x, y, t).  They
+arrive as raw values in (0, 1) ("unit params"); :func:`clamp_params` maps
+them into their admissible physical ranges, where the offset ranges depend on
+the already-mapped scales so that the crop cube can never leave the
+normalised [-1, 1] extent of the source clip.
 
 A cubic crop's affine map has the linear part ``diag(sp, sp, st)``, so
 :func:`build_affine_matrix` gives it as per-axis scales over offsets, and is
 the one place that pairs parameter columns with the axes (x, y, t);
 :func:`transform_grid` scales and shifts the grid with no matrix product.
 
-Batch-first: crop parameters travel as ``(R, 6)`` arrays, one row per crop in
+Batch-first: crop parameters travel as ``(R, 5)`` arrays, one row per crop in
 canonical order, from :func:`clamp_params` through :func:`build_affine_matrix`
 and :func:`transform_grid` and back; a single crop is a leading axis of 1.
 Everything here is differentiable by hand: each forward op has a matching
@@ -29,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-# Column indices into a unit-parameter (or parameter-gradient) row of length 6.
-SPATIAL_SCALE, TEMPORAL_SCALE, ANGLE, OFFSET_X, OFFSET_Y, OFFSET_T = range(6)
+# Column indices into a unit-parameter (or parameter-gradient) row of length 5.
+SPATIAL_SCALE, TEMPORAL_SCALE, OFFSET_X, OFFSET_Y, OFFSET_T = range(5)
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ def apply_early_stop(unit_params: np.ndarray, detach_bound: float) -> np.ndarray
 
     Returns
     -------
-    (R, 6) boolean ndarray
+    boolean ndarray shaped like *unit_params*
         True where the gradient should still flow.  *detach_bound* is taken
         as already validated (see :class:`ParamBounds`).
     """
@@ -109,25 +107,25 @@ def apply_early_stop(unit_params: np.ndarray, detach_bound: float) -> np.ndarray
 
 
 def clamp_params(unit_params: np.ndarray, bounds: ParamBounds) -> np.ndarray:
-    """Map (R, 6) unit params to (R, 6) physical params.
+    """Map (R, 5) unit params to (R, 5) physical params.
 
     Scales are mapped affinely by their static ranges; offsets are then
     mapped by ``[scale - 1, 1 - scale]`` using the freshly mapped scales,
-    which guarantees containment of the crop cube.  Column 2 is set to 0.
+    which guarantees containment of the crop cube.
     """
     v = np.asarray(unit_params, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != 6:
-        raise DimensionError(f"unit params must have shape (R, 6), got {v.shape}")
+    if v.ndim != 2 or v.shape[1] != 5:
+        raise DimensionError(f"unit params must have shape (R, 5), got {v.shape}")
     sp_lo, sp_hi = bounds.spatial_scale_range
     st_lo, st_hi = bounds.temporal_scale_range
-    u_sp, u_st, _, u_x, u_y, u_t = v.T
+    u_sp, u_st, u_x, u_y, u_t = v.T
     sp = sp_lo + u_sp * (sp_hi - sp_lo)
     st = st_lo + u_st * (st_hi - st_lo)
     (dx_lo, dx_hi), (dt_lo, dt_hi) = bounds.offset_bounds(sp, st)
     dx = dx_lo + u_x * (dx_hi - dx_lo)
     dy = dx_lo + u_y * (dx_hi - dx_lo)
     dt = dt_lo + u_t * (dt_hi - dt_lo)
-    return np.stack([sp, st, np.zeros_like(sp), dx, dy, dt], axis=1)
+    return np.stack([sp, st, dx, dy, dt], axis=1)
 
 
 def clamp_params_backward(
@@ -145,24 +143,24 @@ def clamp_params_backward(
 
     Parameters
     ----------
-    grad_params : (R, 6) ndarray
+    grad_params : (R, 5) ndarray
         Loss gradient w.r.t. the mapped parameters, canonical order.
-    unit_params : (R, 6) ndarray
+    unit_params : (R, 5) ndarray
         The raw values originally passed to :func:`clamp_params`.
-    mask : (R, 6) boolean ndarray
+    mask : (R, 5) boolean ndarray
         Early-stop mask; masked-out coordinates get zero gradient.
 
     Returns
     -------
-    (R, 6) ndarray
-        Loss gradient w.r.t. the unit params; column 2 is exactly 0.
+    (R, 5) ndarray
+        Loss gradient w.r.t. the unit params.
     """
     g = np.asarray(grad_params, dtype=np.float64)
     v = np.asarray(unit_params, dtype=np.float64)
     m = np.asarray(mask)
-    if v.ndim != 2 or v.shape[1] != 6 or not g.shape == m.shape == v.shape:
+    if v.ndim != 2 or v.shape[1] != 5 or not g.shape == m.shape == v.shape:
         raise DimensionError(
-            f"grad params, unit params and mask must share one (R, 6) shape, "
+            f"grad params, unit params and mask must share one (R, 5) shape, "
             f"got {g.shape}, {v.shape} and {m.shape}"
         )
     sp_lo, sp_hi = bounds.spatial_scale_range
@@ -172,26 +170,19 @@ def clamp_params_backward(
     sp = sp_lo + v[:, SPATIAL_SCALE] * sp_span
     st = st_lo + v[:, TEMPORAL_SCALE] * st_span
 
-    out = np.zeros_like(g)
-    out[:, SPATIAL_SCALE] = sp_span * (
-        g[:, SPATIAL_SCALE]
-        + g[:, OFFSET_X] * (1.0 - 2.0 * v[:, OFFSET_X])
-        + g[:, OFFSET_Y] * (1.0 - 2.0 * v[:, OFFSET_Y])
-    )
-    out[:, TEMPORAL_SCALE] = st_span * (
-        g[:, TEMPORAL_SCALE] + g[:, OFFSET_T] * (1.0 - 2.0 * v[:, OFFSET_T])
-    )
-    out[:, OFFSET_X] = 2.0 * (1.0 - sp) * g[:, OFFSET_X]
-    out[:, OFFSET_Y] = 2.0 * (1.0 - sp) * g[:, OFFSET_Y]
-    out[:, OFFSET_T] = 2.0 * (1.0 - st) * g[:, OFFSET_T]
-    return out * m.astype(np.float64)
+    return np.stack([
+        sp_span * (g[:, SPATIAL_SCALE]
+                   + g[:, OFFSET_X] * (1.0 - 2.0 * v[:, OFFSET_X])
+                   + g[:, OFFSET_Y] * (1.0 - 2.0 * v[:, OFFSET_Y])),
+        st_span * (g[:, TEMPORAL_SCALE] + g[:, OFFSET_T] * (1.0 - 2.0 * v[:, OFFSET_T])),
+        2.0 * (1.0 - sp) * g[:, OFFSET_X],
+        2.0 * (1.0 - sp) * g[:, OFFSET_Y],
+        2.0 * (1.0 - st) * g[:, OFFSET_T],
+    ], axis=1) * m.astype(np.float64)
 
 
 def build_affine_matrix(params: np.ndarray) -> np.ndarray:
-    """(R, 2, 3) crop maps: scales ``(sp, sp, st)`` over offsets ``(dx, dy, dt)``.
-
-    Column 2 of *params* is ignored.
-    """
+    """(R, 2, 3) crop maps: scales ``(sp, sp, st)`` over offsets ``(dx, dy, dt)``."""
     p = np.asarray(params, dtype=np.float64)
     return np.stack([p[:, [SPATIAL_SCALE, SPATIAL_SCALE, TEMPORAL_SCALE]],
                      p[:, [OFFSET_X, OFFSET_Y, OFFSET_T]]], axis=1)
@@ -253,7 +244,7 @@ def transform_grid(grid: np.ndarray, maps: np.ndarray) -> np.ndarray:
 
 
 def transform_grid_backward(grad_coords: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`transform_grid` w.r.t. each row's six crop parameters.
+    """Gradient of :func:`transform_grid` w.r.t. each row's five crop parameters.
 
     Parameters
     ----------
@@ -264,9 +255,8 @@ def transform_grid_backward(grad_coords: np.ndarray, grid: np.ndarray) -> np.nda
 
     Returns
     -------
-    (R, 6) ndarray
-        Per-row accumulated gradient in canonical parameter order; column 2,
-        which :func:`build_affine_matrix` ignores, is exactly 0.
+    (R, 5) ndarray
+        Per-row accumulated gradient in canonical parameter order.
     """
     g = np.asarray(grad_coords, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
@@ -279,10 +269,5 @@ def transform_grid_backward(grad_coords: np.ndarray, grid: np.ndarray) -> np.nda
     g = g.reshape(rows, -1, 3)
     gx, gy, gt = g[..., 0], g[..., 1], g[..., 2]
 
-    out = np.zeros((rows, 6))
-    out[:, SPATIAL_SCALE] = gx @ x + gy @ y
-    out[:, TEMPORAL_SCALE] = gt @ t
-    out[:, OFFSET_X] = np.sum(gx, axis=1)
-    out[:, OFFSET_Y] = np.sum(gy, axis=1)
-    out[:, OFFSET_T] = np.sum(gt, axis=1)
-    return out
+    return np.stack([gx @ x + gy @ y, gt @ t, np.sum(gx, axis=1),
+                     np.sum(gy, axis=1), np.sum(gt, axis=1)], axis=1)

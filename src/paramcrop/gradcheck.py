@@ -69,6 +69,7 @@ from .paramgen import (
 )
 from .sampler import resample, sample, sample_backward
 from .simulator import (
+    CROP_COLUMNS,
     chain_backward,
     chain_forward,
     crop_grids,
@@ -209,9 +210,10 @@ def check_interval_map(seed_seq: np.random.SeedSequence) -> float:
         spatial_scale_range=(rng.uniform(0.3, 0.6), rng.uniform(0.65, 0.95)),
         temporal_scale_range=(rng.uniform(0.3, 0.6), rng.uniform(0.65, 0.95)),
     )
-    unit = rng.random((1, 6))
-    weight = rng.normal(size=(1, 6))
-    analytic = clamp_params_backward(weight, unit, bounds, np.ones((1, 6), dtype=bool))
+    # Drawn six wide and read at the crop columns, as the training draws are.
+    unit = rng.random((1, 6))[:, CROP_COLUMNS]
+    weight = rng.normal(size=(1, 6))[:, CROP_COLUMNS]
+    analytic = clamp_params_backward(weight, unit, bounds, np.ones((1, 5), dtype=bool))
 
     def losses(units):
         return clamp_params(units[:, 0], bounds) @ weight[0]
@@ -220,12 +222,13 @@ def check_interval_map(seed_seq: np.random.SeedSequence) -> float:
 
 
 def check_grid_transform(seed_seq: np.random.SeedSequence) -> float:
-    """Transformed grid coordinates w.r.t. the six crop parameters."""
+    """Transformed grid coordinates w.r.t. the five crop parameters."""
     rng = np.random.default_rng(seed_seq)
     grid = rng.uniform(-1.0, 1.0, size=(2, 3, 4, 3))
     weight = rng.normal(size=grid.shape)
+    # Drawn six wide and read at the crop columns, as the training draws are.
     params = rng.uniform([0.4, 0.4, 0.0, -0.3, -0.3, -0.3],
-                         [0.9, 0.9, 0.0, 0.3, 0.3, 0.3])[None]
+                         [0.9, 0.9, 0.0, 0.3, 0.3, 0.3])[None, CROP_COLUMNS]
     analytic = transform_grid_backward(weight[None], grid)
 
     def losses(probes):
@@ -312,18 +315,18 @@ class ChainInstance:
 
 
 def _chain_forward(inst: ChainInstance, croppers, learn: bool):
-    """The training step's forward on *inst*: ``(loss, tape, units, mlp_cache)``.
+    """The training step's forward on *inst*: ``(loss, tape, draws, mlp_cache)``.
 
     *learn* is ``chain_forward``'s: the numerical side of the checks passes
     False, since it never runs a backward.  *croppers* may carry a leading
     probe axis on both fields; the loss then has that leading shape.
     """
-    units, cache = generate(inst.noises, croppers)
+    draws, cache = generate(inst.noises, croppers)
     loss, _, tape = chain_forward(
-        units, inst.videos, inst.bounds, inst.crop_grid, inst.encoder,
+        draws, inst.videos, inst.bounds, inst.crop_grid, inst.encoder,
         inst.loss_cfg, learn,
     )
-    return loss, tape, units, cache
+    return loss, tape, draws, cache
 
 
 def chain_loss(inst: ChainInstance, croppers=None):
@@ -346,10 +349,10 @@ def chain_cropper_grads(
 def _cropper_grads(tape, cache, croppers: CropperState, reverse: bool = False):
     """The pair's field-keyed weight gradients of a learning forward's *tape*
     and generator *cache*, reversed at the generator output if *reverse*."""
-    _, grad_units = chain_backward(tape)
+    _, grad_draws = chain_backward(tape)
     if reverse:
-        grad_units = reverse_gradient(grad_units)
-    return generate_backward(grad_units, cache, croppers)
+        grad_draws = reverse_gradient(grad_draws)
+    return generate_backward(grad_draws, cache, croppers)
 
 
 def build_chain_instance(
@@ -387,8 +390,8 @@ def build_chain_instance(
             videos=videos, encoder=encoder, croppers=croppers, noises=noises,
             bounds=bounds, crop_grid=crop_grid, loss_cfg=loss_cfg,
         )
-        _, tape, units, cache = _chain_forward(inst, croppers, learn=True)
-        _, grids = crop_grids(units, bounds, crop_grid)
+        _, tape, draws, cache = _chain_forward(inst, croppers, learn=True)
+        _, grids = crop_grids(draws[:, CROP_COLUMNS], bounds, crop_grid)
         if not (np.all(_grid_safe_mask(grids, videos.shape[2:], margin=1e-5))
                 and np.min(np.abs(cache.hidden_pre)) > 1e-5
                 and _encoder_is_smooth(tape[-1], margin=1e-5)):

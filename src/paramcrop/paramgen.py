@@ -2,9 +2,10 @@
 
 The generator is a deliberately small two-layer perceptron without biases:
 ``unit = sigmoid(relu(noise @ W1.T) @ W2.T)`` with noise drawn uniformly from
-[0, 1).  It is batch-first: ``R`` noise rows in, ``(R, 6)`` unit params out,
-and the backward sums the weight gradients over the rows.  Leading weight axes
-stack generators into one batched matmul, as for the training pair.  Because freshly
+[0, 1).  It is batch-first: ``R`` noise rows in, ``(R, 6)`` unit-interval
+draws out, of which a crop reads five (``simulator.CROP_COLUMNS``), and the
+backward sums the weight gradients over the rows.  Leading weight axes stack
+generators into one batched matmul, as for the training pair.  Because freshly
 initialised weights are tiny, the pre-sigmoid outputs start near zero and
 every unit parameter starts near 0.5 — the two crop branches therefore begin
 almost identical and drift apart only as the adversarial signal pushes them.

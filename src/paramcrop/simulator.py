@@ -13,9 +13,10 @@ parameters before any resampling, so they carry no interpolation error.
 A training step is batch-first: the N clips of a step are one (N, C, T, H,
 W) array, and all 2N crops travel as one leading row axis, row ``2k +
 branch`` for view ``branch`` of clip ``k``, from the generator noise through
-the (2N, 6) crop parameters, the grid transform, the sampler, the encoder and
-the loss, and back.  The generator pair is one stacked ``CropperState``, so
-one forward and one backward serve both branches.  That chain is four module
+the (2N, 6) draws and their (2N, 5) crop parameters, the grid transform, the
+sampler, the encoder and the loss, and back.  The generator pair is one
+stacked ``CropperState``, so one forward and one backward serve both
+branches.  That chain is four module
 functions, :func:`generate`, :func:`chain_forward`, :func:`chain_backward`
 and :func:`generate_backward`, which ``gradcheck``'s full-chain family runs
 too; :func:`chain_forward` applies the detach band when the generators learn,
@@ -25,7 +26,7 @@ The crop metrics compare the N view-A cubes with the N view-B cubes in one
 call.  The sampler hands its coordinate jacobian to the backward, so the
 clips are released right after sampling; and when the detach band masks
 every parameter of a step, the crop gradient is not computed at all, since
-it would be zeroed: the generators receive a zero unit gradient instead.
+it would be zeroed: the generators receive a zero draw gradient instead.
 The chain transforms and samples only the encoder's footprint of the crop
 grid, the leading points of each axis that its valid strided convolution
 reads (7 x 15 x 15 of the default 8 x 16 x 16), since the other points'
@@ -91,6 +92,10 @@ CSV_HEADER = "step,loss,iou,dist_raw,dist_norm,v_sp,v_st,v_theta,v_dx,v_dy,v_dt"
 # A run-log row: the step, its loss, batch-mean crop metrics and unit params.
 RECORD_DTYPE = np.dtype([(name, np.int64 if name == "step" else np.float64)
                          for name in CSV_HEADER.split(",")])
+# The draw columns a crop reads.  Column 2, the retired rotation angle, is
+# still drawn so that every random stream, the generator weights and the
+# logged ``v_theta`` keep their bytes; it takes an exact 0 gradient.
+CROP_COLUMNS = [0, 1, 3, 4, 5]
 # The most 8-byte values one numpy array can hold: its byte size must fit
 # a signed index.
 _MAX_VALUES = np.iinfo(np.intp).max // 8
@@ -124,7 +129,7 @@ class CropCube:
 
 
 def crop_cube(params: np.ndarray) -> CropCube:
-    """Cubes covered by N crops given as (N, 6) params."""
+    """Cubes covered by N crops given as (N, 5) params."""
     half, center = build_affine_matrix(params).swapaxes(0, 1)
     return CropCube(center=center, half=half)
 
@@ -530,7 +535,7 @@ class RunResult:
 
 
 def generate(noise, croppers: CropperState) -> tuple[np.ndarray, MlpCache]:
-    """(..., 2N, 6) unit params of (2N, noise_dim) noise, both in 2k + branch order.
+    """(..., 2N, 6) draws of (2N, noise_dim) noise, both in 2k + branch order.
 
     Row ``2k + branch`` is generator ``branch`` on noise row ``2k + branch``.
     *croppers* is the pair stacked on the branch axis; leading probe axes
@@ -545,49 +550,51 @@ def generate(noise, croppers: CropperState) -> tuple[np.ndarray, MlpCache]:
     return units.swapaxes(-3, -2).reshape(lead + (-1, 6)), cache
 
 
-def generate_backward(grad_units, cache: MlpCache, croppers: CropperState) -> dict:
-    """The pair's stacked field-keyed weight gradients of the (2N, 6) unit gradient."""
-    return mlp_backward(grad_units.reshape(-1, 2, 6).swapaxes(0, 1), cache, croppers)
+def generate_backward(grad_draws, cache: MlpCache, croppers: CropperState) -> dict:
+    """The pair's stacked field-keyed weight gradients of the (2N, 6) draw gradient."""
+    return mlp_backward(grad_draws.reshape(-1, 2, 6).swapaxes(0, 1), cache, croppers)
 
 
 def crop_grids(units: np.ndarray, bounds: ParamBounds, grid: np.ndarray):
-    """(R, 6) physical params of (R, 6) unit params, and *grid* moved by each."""
+    """(R, 5) physical params of (R, 5) unit params, and *grid* moved by each."""
     params = clamp_params(units, bounds)
     return params, transform_grid(grid, build_affine_matrix(params))
 
 
-def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
+def chain_forward(draws: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
                   crop_grid: np.ndarray, encoder: ToyEncoder, loss_cfg: LossConfig,
                   learn: bool):
-    """``(loss, params, tape)`` of the crops that (..., 2N, 6) *units* cut from *clips*.
+    """``(loss, params, tape)`` of the crops that (..., 2N, 6) *draws* cut from *clips*.
 
-    *clips* are N clips (both views of clip ``k`` read clip ``k``) or one per
-    row, and are released once sampled.  Only the encoder's
+    The crops read the :data:`CROP_COLUMNS` of the draws, their (..., 2N, 5)
+    unit params.  *clips* are N clips (both views of clip ``k`` read clip
+    ``k``) or one per row, and are released once sampled.  Only the encoder's
     :func:`~paramcrop.contrastive.footprint` of *crop_grid* is transformed and
     sampled: the crops, and the jacobian, cover the leading points of each
     axis that the encoder reads, and give the loss of the full grid.
-    *params* are the physical params,
-    shaped like *units*; *tape* is ``(bounds, crop_grid, encoder, loss_cfg,
-    units, mask, jacobian, embeddings, enc_cache)``.  Its mask is the
-    detach band's if *learn* (the generators learn from this forward), else
-    None; its jacobian, which the unit gradient needs, is None unless the
-    mask has a live entry.
+    *params* are the (..., 2N, 5) physical params; *tape* is ``(bounds,
+    crop_grid, encoder, loss_cfg, units, mask, jacobian, embeddings,
+    enc_cache)``, with the (2N, 5) unit params.  Its mask is the detach
+    band's if *learn* (the generators learn from this forward), else None;
+    its jacobian, which the unit gradient needs, is None unless the mask has
+    a live entry.
 
-    Leading probe axes ``...`` on *units* are probes of the 2N rows against
+    Leading probe axes ``...`` on *draws* are probes of the 2N rows against
     the same clips, sampled and encoded as rows of one call each; the loss
     then has the leading shape.  Only a forward that does not learn takes
-    them, since :func:`chain_backward` reads (2N, 6) units.
+    them, since :func:`chain_backward` reads (2N, 5) units.
     """
+    units = draws[..., CROP_COLUMNS]
     lead = units.shape[:-2]
     if learn and lead:
         raise DimensionError(
-            f"a learning forward takes (2N, 6) units, got shape {units.shape}"
+            f"a learning forward takes (2N, 6) draws, got shape {draws.shape}"
         )
     mask = apply_early_stop(units, bounds.detach_bound) if learn else None
     # Rows go clip-major, (clip, probe, row of the clip), so that each clip's
     # views are contiguous in the grids without a copy.
     n_clips, probes = len(clips), int(np.prod(lead))
-    rows = units.reshape((probes, n_clips, -1, 6)).swapaxes(0, 1).reshape(-1, 6)
+    rows = units.reshape((probes, n_clips, -1, 5)).swapaxes(0, 1).reshape(-1, 5)
     t, h, w = footprint(crop_grid.shape[:-1])
     params, grids = crop_grids(rows, bounds, crop_grid[:t, :h, :w])
     views = grids.reshape((n_clips, -1) + grids.shape[1:])
@@ -598,7 +605,7 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
         crops, jacobian = resample(clips, views), None
     del clips, views
     embeddings, enc_cache = encode(crops, encoder)
-    # Back to probe-major (..., 2N, D) and (..., 2N, 6) rows.
+    # Back to probe-major (..., 2N, D) and (..., 2N, 5) rows.
     embeddings, params = (
         a.reshape((n_clips, probes, -1, a.shape[-1])).swapaxes(0, 1)
         .reshape(lead + (-1, a.shape[-1])) for a in (embeddings, params)
@@ -609,12 +616,13 @@ def chain_forward(units: np.ndarray, clips: np.ndarray, bounds: ParamBounds,
 
 
 def chain_backward(tape):
-    """Encoder gradients and the (2N, 6) unit gradient of the loss on *tape*.
+    """Encoder gradients and the (2N, 6) draw gradient of the loss on *tape*.
 
-    The unit gradient passes through the tape's detach mask, is not
-    reversed, and is zero when the forward ran without a jacobian.  The
-    coordinate gradient of the sampled footprint is placed in a zero gradient
-    over the whole crop grid, so the grid reductions of
+    The gradient passes through the tape's detach mask, is not reversed, is
+    exactly 0 off the :data:`CROP_COLUMNS`, and is zero everywhere when the
+    forward ran without a jacobian.  The coordinate gradient of the sampled
+    footprint is placed in a zero gradient over the whole crop grid, so the
+    grid reductions of
     :func:`~paramcrop.affine.transform_grid_backward` sum what a full-grid
     chain sums, where the points outside the footprint contribute exact zeros.
     """
@@ -624,8 +632,9 @@ def chain_backward(tape):
     enc_grads, grad_crops = encode_backward(
         grad_rows, enc_cache, encoder, input_grad=jacobian is not None
     )
+    grad_draws = np.zeros((len(units), 6))
     if jacobian is None:
-        return enc_grads, np.zeros_like(units)
+        return enc_grads, grad_draws
     # Zero outside the footprint, laid out axis-major per row as
     # sample_backward's are, so the reductions over the grid read the same
     # strides, and sum the same values in the same order, as on a full crop.
@@ -633,11 +642,12 @@ def chain_backward(tape):
     t, h, w = grad_crops.shape[2:]
     grad_coords[:, :t, :h, :w] = sample_backward(grad_crops, jacobian)
     grad_params = transform_grid_backward(grad_coords, crop_grid)
-    return enc_grads, clamp_params_backward(grad_params, units, bounds, mask)
+    grad_draws[:, CROP_COLUMNS] = clamp_params_backward(grad_params, units, bounds, mask)
+    return enc_grads, grad_draws
 
 
 def crop_metrics(params: np.ndarray) -> tuple[float, float, float]:
-    """Mean IoU, raw and normalised centre distance of (2N, 6) view pairs.
+    """Mean IoU, raw and normalised centre distance of (2N, 5) view pairs.
 
     Raises :class:`TrainingError` if a crop cube reaches outside the clip.
     """
@@ -696,7 +706,7 @@ class _Trainer:
     # -- parameter draws ---------------------------------------------------
 
     def _baseline(self, step: int, rng: np.random.Generator, count: int) -> np.ndarray:
-        """(2 * count, 6) baseline unit params in 2k + branch order."""
+        """(2 * count, 6) baseline draws in 2k + branch order."""
         cfg = self.cfg
         return baseline_params(
             cfg.strategy, step, cfg.steps, rng, count,
@@ -711,11 +721,11 @@ class _Trainer:
         count = cfg.probe_samples
         if self.adversarial:
             # One stream for both branches, drawn in 2k + branch order.
-            units, _ = generate(sample_noise(self.probe_rng, 2 * count, cfg.noise_dim),
+            draws, _ = generate(sample_noise(self.probe_rng, 2 * count, cfg.noise_dim),
                                 self.croppers)
         else:
-            units = self._baseline(0, self.probe_rng, count)
-        iou, _, dist_norm = crop_metrics(clamp_params(units, cfg.bounds))
+            draws = self._baseline(0, self.probe_rng, count)
+        iou, _, dist_norm = crop_metrics(clamp_params(draws[:, CROP_COLUMNS], cfg.bounds))
         return iou, dist_norm
 
     # -- augmentation ------------------------------------------------------
@@ -734,8 +744,8 @@ class _Trainer:
             flip = self.flip_rng.random(len(sources)) < 0.5
             sources[flip] = sources[flip][..., ::-1]
         if cfg.pre_crop:
-            units = self.precrop_rng.random((len(sources), 6))
-            _, pre_grids = crop_grids(units, cfg.bounds, self.input_grid)
+            draws = self.precrop_rng.random((len(sources), 6))
+            _, pre_grids = crop_grids(draws[:, CROP_COLUMNS], cfg.bounds, self.input_grid)
             sources = resample(sources, pre_grids[:, None])
         return sources
 
@@ -749,13 +759,13 @@ class _Trainer:
             # Each branch's stream, interleaved into 2k + branch order.
             noise = np.stack([sample_noise(rng, n_pairs, cfg.noise_dim)
                               for rng in self.noise_rngs], axis=1)
-            units, cache = generate(noise.reshape(-1, cfg.noise_dim), self.croppers)
+            draws, cache = generate(noise.reshape(-1, cfg.noise_dim), self.croppers)
         else:
-            units = self._baseline(index, self.baseline_rng, n_pairs)
+            draws = self._baseline(index, self.baseline_rng, n_pairs)
         # Built in the call, the clips have no other reference and are freed
         # after sampling (star-args would keep one).
         loss, params, tape = chain_forward(
-            units, self._sources(make_synthetic_batch(
+            draws, self._sources(make_synthetic_batch(
                 self.data_rng, n_pairs, cfg.input_shape)),
             cfg.bounds, self.crop_grid, self.encoder, cfg.loss_cfg, self.adversarial,
         )
@@ -763,22 +773,22 @@ class _Trainer:
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss at step {index}; unit params "
-                f"mean={units.mean():.6g} min={units.min():.6g} "
-                f"max={units.max():.6g}"
+                f"mean={draws.mean():.6g} min={draws.min():.6g} "
+                f"max={draws.max():.6g}"
             )
-        enc_grads, grad_units = chain_backward(tape)
+        enc_grads, grad_draws = chain_backward(tape)
         self.encoder = update_weights(
             self.encoder, enc_grads, self.enc_opt, step_index=index
         )
 
         grad_max = 0.0
         if self.adversarial:
-            grads = generate_backward(reverse_gradient(grad_units), cache, self.croppers)
+            grads = generate_backward(reverse_gradient(grad_draws), cache, self.croppers)
             grad_max = max(float(np.max(np.abs(g))) for g in grads.values())
             self.croppers = update_weights(
                 self.croppers, grads, self.crop_opt, step_index=index
             )
-        return (index, loss, *metrics, *units.mean(axis=0)), grad_max
+        return (index, loss, *metrics, *draws.mean(axis=0)), grad_max
 
 
 def run_training(cfg: TrainConfig) -> RunResult:

@@ -136,7 +136,7 @@ def test_04_containment_ten_thousand_draws():
     rng = np.random.default_rng(0)
     violations = 0
     for _ in range(10_000):
-        params = clamp_params(rng.random((1, 6)), bounds)
+        params = clamp_params(rng.random((1, 5)), bounds)
         coords = transform_grid(crop_grid, build_affine_matrix(params))
         if np.any(coords < -1.0) or np.any(coords > 1.0):
             violations += 1
@@ -160,8 +160,8 @@ def test_04_containment_at_every_accepted_scale_range():
                                      temporal_scale_range=temporal)
             except ConfigError:
                 continue
-            units = np.concatenate([rng.random((1000, 6)), np.zeros((1, 6)),
-                                    np.ones((1, 6)), rng.integers(0, 2, (62, 6))])
+            units = np.concatenate([rng.random((1000, 5)), np.zeros((1, 5)),
+                                    np.ones((1, 5)), rng.integers(0, 2, (62, 5))])
             coords = transform_grid(corners, build_affine_matrix(
                 clamp_params(units, bounds)))
             assert np.all((-1.0 <= coords) & (coords <= 1.0)), (spatial, temporal)
@@ -267,8 +267,8 @@ def test_08_iou_against_monte_carlo():
         return np.count_nonzero(in_a & in_b) / either if either else 0.0
 
     for _ in range(100):
-        a = crop_cube(clamp_params(rng.random((1, 6)), bounds))
-        b = crop_cube(clamp_params(rng.random((1, 6)), bounds))
+        a = crop_cube(clamp_params(rng.random((1, 5)), bounds))
+        b = crop_cube(clamp_params(rng.random((1, 5)), bounds))
         assert abs(st_iou(a, b)[0] - membership_iou(a, b)) < 0.01
 
     # Hand case: half-extent-0.5 cubes offset by 0.5 along one axis.

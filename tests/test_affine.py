@@ -22,9 +22,9 @@ from paramcrop.affine import (
 from paramcrop.errors import ConfigError, DimensionError
 
 
-def params_row(sp, st, angle, dx, dy, dt) -> np.ndarray:
-    """One crop's physical params as a (1, 6) row."""
-    return np.array([[sp, st, angle, dx, dy, dt]])
+def params_row(sp, st, dx, dy, dt) -> np.ndarray:
+    """One crop's physical params as a (1, 5) row."""
+    return np.array([[sp, st, dx, dy, dt]])
 
 
 def default_bounds(**overrides) -> ParamBounds:
@@ -113,18 +113,17 @@ class TestEarlyStop:
 class TestClampParams:
     def test_interval_endpoints(self):
         bounds = default_bounds()
-        (sp0, st0, an0, dx0, _, dt0), = clamp_params(np.zeros((1, 6)), bounds)
-        (sp1, st1, an1, dx1, _, dt1), = clamp_params(np.ones((1, 6)), bounds)
+        (sp0, st0, dx0, _, dt0), = clamp_params(np.zeros((1, 5)), bounds)
+        (sp1, st1, dx1, _, dt1), = clamp_params(np.ones((1, 5)), bounds)
         assert sp0 == 0.5 and sp1 == 1.0
         assert st0 == 0.5 and st1 == 1.0
-        assert an0 == 0.0 and an1 == 0.0
         # At v=0 every scale sits at 0.5, so offsets span [-0.5, 0.5].
         assert dx0 == -0.5 and dt0 == -0.5
         # At v=1 scales hit 1.0 and the offset interval collapses to zero.
         assert dx1 == 0.0 and dt1 == 0.0
 
     def test_midpoint(self):
-        (sp, _, _, dx, dy, dt), = clamp_params(np.full((1, 6), 0.5), default_bounds())
+        (sp, _, dx, dy, dt), = clamp_params(np.full((1, 5), 0.5), default_bounds())
         assert sp == pytest.approx(0.75)
         assert dx == pytest.approx(0.0)
         assert dy == pytest.approx(0.0)
@@ -136,15 +135,15 @@ class TestClampParams:
         bounds = default_bounds(spatial_scale_range=(0.25, 1.0),
                                 temporal_scale_range=(0.4, 0.9))
         for _ in range(500):
-            v = rng.uniform(0.0, 1.0, size=(1, 6))
-            (sp, st, _, dx, dy, dt), = clamp_params(v, bounds)
+            v = rng.uniform(0.0, 1.0, size=(1, 5))
+            (sp, st, dx, dy, dt), = clamp_params(v, bounds)
             assert abs(dx) <= 1.0 - sp + 1e-15
             assert abs(dy) <= 1.0 - sp + 1e-15
             assert abs(dt) <= 1.0 - st + 1e-15
 
     def test_input_shape_checked(self):
         with pytest.raises(DimensionError):
-            clamp_params(np.zeros((1, 5)), default_bounds())
+            clamp_params(np.zeros((1, 6)), default_bounds())
 
 
 class TestClampBackward:
@@ -154,24 +153,24 @@ class TestClampBackward:
                                 temporal_scale_range=(0.5, 0.95))
         h = 1e-7
         for _ in range(25):
-            v = rng.uniform(0.05, 0.95, size=(1, 6))
-            upstream = rng.normal(size=(1, 6))
+            v = rng.uniform(0.05, 0.95, size=(1, 5))
+            upstream = rng.normal(size=(1, 5))
 
             def scalar(vv: np.ndarray) -> float:
                 return float(np.vdot(upstream, clamp_params(vv, bounds)))
 
-            grad = clamp_params_backward(upstream, v, bounds, np.ones((1, 6)))
-            for i in range(6):
-                e = np.zeros((1, 6))
+            grad = clamp_params_backward(upstream, v, bounds, np.ones((1, 5)))
+            for i in range(5):
+                e = np.zeros((1, 5))
                 e[0, i] = h
                 fd = (scalar(v + e) - scalar(v - e)) / (2.0 * h)
                 assert grad[0, i] == pytest.approx(fd, abs=5e-7), f"param {i}"
 
     def test_mask_zeroes_components(self):
         rng = np.random.default_rng(7)
-        v = rng.uniform(0.2, 0.8, size=(1, 6))
-        upstream = rng.normal(size=(1, 6))
-        mask = np.array([[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
+        v = rng.uniform(0.2, 0.8, size=(1, 5))
+        upstream = rng.normal(size=(1, 5))
+        mask = np.array([[1.0, 0.0, 0.0, 1.0, 0.0]])
         grad = clamp_params_backward(upstream, v, default_bounds(), mask)
         assert grad[0, TEMPORAL_SCALE] == 0.0
         assert grad[0, OFFSET_X] == 0.0
@@ -181,16 +180,16 @@ class TestClampBackward:
     def test_scale_gradient_includes_offset_coupling(self):
         """Spatial scale widens/narrows the offset interval, so offset
         upstream gradients must flow back into the scale component."""
-        v = np.full((1, 6), 0.5)
-        upstream = np.zeros((1, 6))
+        v = np.full((1, 5), 0.5)
+        upstream = np.zeros((1, 5))
         upstream[0, OFFSET_X] = 1.0
-        grad = clamp_params_backward(upstream, v, default_bounds(), np.ones((1, 6)))
+        grad = clamp_params_backward(upstream, v, default_bounds(), np.ones((1, 5)))
         # dx = (1 - s)(2 v_x - 1); at v_x = 0.5 the direct term is 0
         # but d dx/d s = -(2 v_x - 1) = 0 there too; move v_x off-center.
         assert grad[0, SPATIAL_SCALE] == 0.0
         v2 = v.copy()
         v2[0, OFFSET_X] = 0.75
-        grad2 = clamp_params_backward(upstream, v2, default_bounds(), np.ones((1, 6)))
+        grad2 = clamp_params_backward(upstream, v2, default_bounds(), np.ones((1, 5)))
         # ds/dv0 = 0.5, d offset/ds = -(2*0.75 - 1) = -0.5 -> -0.25
         assert grad2[0, SPATIAL_SCALE] == pytest.approx(-0.25)
 
@@ -199,12 +198,12 @@ class TestAffineMatrix:
     """A crop's map is (2, 3): per-axis scales over offsets, on (x, y, t)."""
 
     def test_identity_parameters(self):
-        p = params_row(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        p = params_row(1.0, 1.0, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(build_affine_matrix(p)[0],
                                    [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], atol=0.0)
 
     def test_known_entries(self):
-        p = params_row(sp=0.5, st=0.75, angle=0.0, dx=0.1, dy=-0.2, dt=0.3)
+        p = params_row(sp=0.5, st=0.75, dx=0.1, dy=-0.2, dt=0.3)
         m = build_affine_matrix(p)[0]
         expected = np.array([
             [0.5, 0.5, 0.75],
@@ -242,13 +241,13 @@ class TestGrid:
 class TestTransformGrid:
     def test_identity(self):
         g = generate_grid(3, 4, 5)
-        p = params_row(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        p = params_row(1.0, 1.0, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(transform_grid(g, build_affine_matrix(p))[0],
                                    g, atol=1e-15)
 
     def test_pure_translation(self):
         g = generate_grid(2, 2, 2)
-        p = params_row(1.0, 1.0, 0.0, 0.25, -0.5, 0.125)
+        p = params_row(1.0, 1.0, 0.25, -0.5, 0.125)
         out = transform_grid(g, build_affine_matrix(p))[0]
         np.testing.assert_allclose(out[..., 0], g[..., 0] + 0.25, atol=1e-15)
         np.testing.assert_allclose(out[..., 1], g[..., 1] - 0.5, atol=1e-15)
@@ -256,7 +255,7 @@ class TestTransformGrid:
 
     def test_pointwise_against_manual_formula(self):
         rng = np.random.default_rng(42)
-        p = params_row(0.6, 0.8, 0.0, 0.1, -0.1, 0.05)
+        p = params_row(0.6, 0.8, 0.1, -0.1, 0.05)
         m = build_affine_matrix(p)
         g = rng.uniform(-1.0, 1.0, size=(4, 3))
         out = transform_grid(g, m)[0]
@@ -270,7 +269,7 @@ class TestTransformGrid:
         rng = np.random.default_rng(42)
         g = rng.uniform(-1.0, 1.0, size=(3, 4, 2, 3))
         upstream = rng.normal(size=g.shape)
-        base = params_row(0.7, 0.6, 0.0, 0.05, -0.15, 0.2)
+        base = params_row(0.7, 0.6, 0.05, -0.15, 0.2)
         h = 1e-7
 
         def scalar(vec: np.ndarray) -> float:
@@ -278,11 +277,11 @@ class TestTransformGrid:
             return float(np.sum(upstream * transform_grid(g, matrix)[0]))
 
         grad = transform_grid_backward(upstream[None], g)
-        assert grad.shape == (1, 6)
+        assert grad.shape == (1, 5)
         grad = grad[0]
         vec0 = base[0]
-        for i in range(6):
-            e = np.zeros(6)
+        for i in range(5):
+            e = np.zeros(5)
             e[i] = h
             fd = (scalar(vec0 + e) - scalar(vec0 - e)) / (2.0 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-6), f"param {i}"
@@ -294,8 +293,8 @@ class TestTransformGrid:
     def test_equals_homogeneous_product_bit_for_bit(self, shape):
         rng = np.random.default_rng(7)
         grid = generate_grid(*shape)
-        params = clamp_params(rng.random((16, 6)), default_bounds())
-        sp, st, _, dx, dy, dt = params.T
+        params = clamp_params(rng.random((16, 5)), default_bounds())
+        sp, st, dx, dy, dt = params.T
         matrices = np.zeros((16, 3, 4))
         matrices[:, 0, 0] = matrices[:, 1, 1] = sp
         matrices[:, 2, 2] = st
@@ -316,7 +315,7 @@ class TestTransformGrid:
     ], ids=["footprint", "random", "point"])
     @pytest.mark.parametrize("rows", [1, 16])
     def test_equals_broadcast_formula_bit_for_bit(self, grid, rows):
-        params = clamp_params(np.random.default_rng(rows).random((rows, 6)),
+        params = clamp_params(np.random.default_rng(rows).random((rows, 5)),
                               default_bounds())
         maps = build_affine_matrix(params)
         per_row = (rows,) + (1,) * (grid.ndim - 1) + (3,)
@@ -333,7 +332,7 @@ class TestTransformGrid:
 
     def test_backward_takes_rows_from_grad(self):
         grid = generate_grid(2, 3, 4)
-        assert transform_grid_backward(np.ones((5,) + grid.shape), grid).shape == (5, 6)
+        assert transform_grid_backward(np.ones((5,) + grid.shape), grid).shape == (5, 5)
         for bad in [np.ones(grid.shape), np.ones((5, 2, 3, 5, 3))]:
             with pytest.raises(DimensionError):
                 transform_grid_backward(bad, grid)

@@ -4,9 +4,10 @@ Weight gradients (encoder, generator MLP) are summed over the rows, so there
 the R-row call matches the sum of the one-row calls.
 
 Also checks the masked-step shortcut of the crop chain: with a detach band of
-0.5 every cropper gradient is masked, so a learning forward computes no
-sampler jacobian, and the cropper weights must come out of a run
-bit-identical to their initial values.  And it checks the training step's glue
+0.5, or with draws outside the band in every crop column, every cropper
+gradient is masked, so a learning forward computes no sampler jacobian, and
+the cropper weights must come out of a run bit-identical to their initial
+values.  And it checks the training step's glue
 around the shared crop chain (the noise interleave, the reversal and the
 update): one step moves each generator's weights by the finite-difference
 gradient of the negated loss.
@@ -43,6 +44,7 @@ from paramcrop.gradcheck import _grid_safe_mask, central_difference, max_relativ
 from paramcrop.paramgen import CropperState, mlp_backward, mlp_forward, sample_noise
 from paramcrop.sampler import resample, sample, sample_backward
 from paramcrop.simulator import (
+    CROP_COLUMNS,
     CropCube,
     TrainConfig,
     _Trainer,
@@ -80,25 +82,25 @@ BOUNDS = ParamBounds(
 
 
 def random_params(rng: np.random.Generator) -> np.ndarray:
-    """(ROWS, 6) physical crop params, column 2 at 0."""
-    return rng.uniform([0.4, 0.4, 0.0, -0.3, -0.3, -0.3],
-                       [0.9, 0.9, 0.0, 0.3, 0.3, 0.3], size=(ROWS, 6))
+    """(ROWS, 5) physical crop params."""
+    return rng.uniform([0.4, 0.4, -0.3, -0.3, -0.3],
+                       [0.9, 0.9, 0.3, 0.3, 0.3], size=(ROWS, 5))
 
 
 class TestParamMapping:
     def test_clamp_rows_match_single_calls(self, rng):
-        units = rng.random((ROWS, 6))
+        units = rng.random((ROWS, 5))
         params = clamp_params(units, BOUNDS)
-        assert params.shape == (ROWS, 6)
+        assert params.shape == (ROWS, 5)
         for r in range(ROWS):
             assert_close(params[r], clamp_params(units[r:r + 1], BOUNDS)[0])
 
     def test_clamp_backward_rows_match_single_calls(self, rng):
-        units = rng.random((ROWS, 6))
-        upstream = rng.normal(size=(ROWS, 6))
+        units = rng.random((ROWS, 5))
+        upstream = rng.normal(size=(ROWS, 5))
         mask = apply_early_stop(units, BOUNDS.detach_bound)
         grads = clamp_params_backward(upstream, units, BOUNDS, mask)
-        assert grads.shape == (ROWS, 6)
+        assert grads.shape == (ROWS, 5)
         for r in range(ROWS):
             one = clamp_params_backward(
                 upstream[r:r + 1], units[r:r + 1], BOUNDS, mask[r:r + 1]
@@ -106,10 +108,10 @@ class TestParamMapping:
             assert_close(grads[r], one[0])
 
     def test_clamp_backward_shapes_checked(self, rng):
-        units = rng.random((ROWS, 6))
+        units = rng.random((ROWS, 5))
         with pytest.raises(DimensionError):
-            clamp_params_backward(np.zeros((ROWS, 6)), units, BOUNDS,
-                                  np.ones((ROWS - 1, 6), dtype=bool))
+            clamp_params_backward(np.zeros((ROWS, 5)), units, BOUNDS,
+                                  np.ones((ROWS - 1, 5), dtype=bool))
 
     def test_early_stop_rows_match_single_calls(self, rng):
         units = rng.random((ROWS, 6))
@@ -254,7 +256,7 @@ class TestGridTransform:
         coords = transform_grid(grid, matrices)
         grads = transform_grid_backward(upstream, grid)
         assert coords.shape == (ROWS,) + grid.shape
-        assert grads.shape == (ROWS, 6)
+        assert grads.shape == (ROWS, 5)
         for r in range(ROWS):
             assert_close(coords[r], transform_grid(grid, matrices[r:r + 1])[0])
             assert_close(
@@ -360,7 +362,8 @@ class TestProbeAxis:
 
         units, _ = generate(noise, probes)
         losses, params, _ = chain_forward(units, *args, False)
-        assert units.shape == params.shape == (ROWS, n_rows, 6)
+        assert units.shape == (ROWS, n_rows, 6)
+        assert params.shape == (ROWS, n_rows, 5)
         assert losses.shape == (ROWS,)
         for p in range(ROWS):
             one_units, _ = generate(noise, replace(pair, **{probed: stack[p]}))
@@ -445,6 +448,53 @@ def test_learning_forward_applies_the_detach_band(monkeypatch, detach_bound):
         assert np.any(grad_units)
 
 
+def _spied_chain(monkeypatch, cfg, draws):
+    """The learning forward and backward of *draws*, with the sampler calls
+    and the ``clamp_params_backward`` calls recorded."""
+    trainer = _Trainer(cfg)
+    clips = make_synthetic_batch(np.random.default_rng(1), cfg.batch_size,
+                                 cfg.input_shape)
+    calls = {"sample": [], "resample": [], "clamp_params_backward": []}
+    for name in calls:
+        real = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name, lambda *args, real=real, name=name:
+                            calls[name].append(args) or real(*args))
+    _, _, tape = chain_forward(draws, clips, cfg.bounds, trainer.crop_grid,
+                               trainer.encoder, cfg.loss_cfg, True)
+    return tape, chain_backward(tape)[1], calls
+
+
+def test_band_masking_every_crop_column_skips_the_crop_gradient(monkeypatch):
+    # Every crop column outside the 0.2 band; the unread column 2 sits at 0.5,
+    # inside it, and must not keep the step's crop gradient alive.
+    cfg = replace(SMALL, detach_bound=0.2)
+    rng = np.random.default_rng(0)
+    draws = rng.uniform(0.05, 0.15, (2 * cfg.batch_size, 6))
+    draws[1::2] = 1.0 - draws[1::2]
+    draws[:, 2] = 0.5
+    tape, grad_draws, calls = _spied_chain(monkeypatch, cfg, draws)
+    assert calls["sample"] == [] and len(calls["resample"]) == 1
+    assert tape[-3] is None
+    assert calls["clamp_params_backward"] == []
+    assert grad_draws.shape == draws.shape and not np.any(grad_draws)
+
+
+def test_draw_gradient_is_the_crop_columns_gradient(monkeypatch):
+    cfg = replace(SMALL, detach_bound=0.2)
+    draws = np.random.default_rng(0).random((2 * cfg.batch_size, 6))
+    units = draws[:, CROP_COLUMNS]
+    mask = apply_early_stop(units, cfg.bounds.detach_bound)
+    assert np.any(mask) and not np.all(mask)
+    tape, grad_draws, calls = _spied_chain(monkeypatch, cfg, draws)
+    assert len(calls["sample"]) == 1 and tape[-3] is not None
+    (grad_params, *_), = calls["clamp_params_backward"]
+    assert grad_params.shape == units.shape
+    assert np.all(grad_draws[:, 2] == 0.0)
+    np.testing.assert_array_equal(
+        grad_draws[:, CROP_COLUMNS],
+        clamp_params_backward(grad_params, units, cfg.bounds, mask))
+
+
 # Seed 3's draws are clear of every kink that a step of GLUE_H in one weight
 # could cross (checked below, the way gradcheck screens its instances).
 GLUE_SEED = 3
@@ -473,7 +523,7 @@ def test_step_moves_croppers_by_reversed_loss_gradient():
         return loss, units, cache, tape
 
     _, units, cache, tape = forward(fresh.croppers)
-    _, grids = crop_grids(units, cfg.bounds, fresh.crop_grid)
+    _, grids = crop_grids(units[:, CROP_COLUMNS], cfg.bounds, fresh.crop_grid)
     assert np.all(_grid_safe_mask(grids, cfg.input_shape[1:], margin=1e-5))
     # A step of h in one w1 entry moves a hidden pre-activation by at most h.
     assert np.min(np.abs(cache.hidden_pre)) > GLUE_H
@@ -502,7 +552,7 @@ def test_step_moves_croppers_by_reversed_loss_gradient():
 
 
 def _full_grid_chain(units, clips, cfg, crop_grid, encoder):
-    """Loss, encoder gradients and unit gradient with every crop point sampled."""
+    """Loss, encoder gradients and (2N, 5) unit gradient with every crop point sampled."""
     mask = apply_early_stop(units, cfg.bounds.detach_bound)
     _, grids = crop_grids(units, cfg.bounds, crop_grid)
     crops, jacobian = sample(clips, grids.reshape((len(clips), -1) + grids.shape[1:]))
@@ -520,16 +570,16 @@ def _full_grid_chain(units, clips, cfg, crop_grid, encoder):
 def test_footprint_chain_matches_full_grid_chain_bit_for_bit(rng, base):
     cfg = replace(base, detach_bound=0.0)
     trainer = _Trainer(cfg)
-    units = rng.random((2 * cfg.batch_size, 6))
+    draws = rng.random((2 * cfg.batch_size, 6))
     clips = make_synthetic_batch(rng, cfg.batch_size, cfg.input_shape)
-    loss, _, tape = chain_forward(units, clips, cfg.bounds, trainer.crop_grid,
+    loss, _, tape = chain_forward(draws, clips, cfg.bounds, trainer.crop_grid,
                                   trainer.encoder, cfg.loss_cfg, True)
-    enc_grads, grad_units = chain_backward(tape)
+    enc_grads, grad_draws = chain_backward(tape)
     ref_loss, ref_grads, ref_units = _full_grid_chain(
-        units, clips, cfg, trainer.crop_grid, trainer.encoder)
+        draws[:, CROP_COLUMNS], clips, cfg, trainer.crop_grid, trainer.encoder)
     assert loss == ref_loss
-    assert np.any(grad_units)
-    np.testing.assert_array_equal(grad_units, ref_units)
+    assert np.any(grad_draws)
+    np.testing.assert_array_equal(grad_draws[:, CROP_COLUMNS], ref_units)
     for key, value in ref_grads.items():
         np.testing.assert_array_equal(enc_grads[key], value)
 

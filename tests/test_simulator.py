@@ -10,6 +10,7 @@ import pytest
 from paramcrop.affine import clamp_params, generate_grid
 from paramcrop.errors import ConfigError
 from paramcrop.simulator import (
+    CROP_COLUMNS,
     CSV_HEADER,
     CropCube,
     TrainConfig,
@@ -33,8 +34,8 @@ def cube(cx, cy, ct, hx, hy, ht) -> CropCube:
 
 
 def one_cube(unit: np.ndarray, bounds) -> CropCube:
-    """Cube of a single (6,) unit-param draw."""
-    return crop_cube(clamp_params(unit[None], bounds))
+    """Cube of a single (6,) unit-param draw, read at its crop columns."""
+    return crop_cube(clamp_params(unit[None, CROP_COLUMNS], bounds))
 
 
 def mc_iou(a: CropCube, b: CropCube, points: np.ndarray) -> float:
@@ -52,7 +53,7 @@ def mc_iou(a: CropCube, b: CropCube, points: np.ndarray) -> float:
 
 class TestCropCube:
     def test_from_params(self):
-        p = np.array([[0.5, 0.75, 0.0, 0.1, -0.2, 0.3]])
+        p = np.array([[0.5, 0.75, 0.1, -0.2, 0.3]])
         c = crop_cube(p)
         np.testing.assert_array_equal(c.center, [[0.1, -0.2, 0.3]])
         np.testing.assert_array_equal(c.half, [[0.5, 0.5, 0.75]])
