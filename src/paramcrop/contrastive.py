@@ -29,20 +29,26 @@ runs the convolution for all of them as one im2col matmul, and
 :func:`encode_backward` returns the weight gradients summed over the rows.
 A single clip is a leading axis of 1.  The forward keeps its im2col matrix
 for the backward, which reads it and never the clips, so it is built once per
-forward-backward pair.  The valid strided convolution reads only the leading
-:func:`footprint` of each clip axis; a caller that builds the clips can build
-just that much and get the same embedding.  As for ``mlp_forward``, leading axes
-on the weights stack encoders: one batched matmul embeds the same clips under
-each, as (..., R, E) rows.  The backward takes one encoder.
+forward-backward pair.  That matrix, ``EncodeCache.cols``, is this thread's
+reused :func:`~paramcrop.buffers.scratch` array: once nothing holds the cache
+or the matrix, the next forward of the same shape overwrites it and puts it
+in the new cache; one still held is never written.  The valid strided
+convolution reads only the leading :func:`footprint` of each clip axis; a
+caller that builds the clips can build just that much and get the same
+embedding.  As for ``mlp_forward``, leading axes on the weights stack
+encoders: one batched matmul embeds the same clips under each, as (..., R, E)
+rows.  The backward takes one encoder.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
+from .buffers import scratch
 from .errors import ConfigError, DimensionError, NumericsError
 
 _NORM_EPS = 1e-12
@@ -241,18 +247,25 @@ def footprint(shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _im2col(video: np.ndarray) -> np.ndarray:
-    """(R, C, T, H, W) -> (R * P, C * K^3): one row per output position."""
+    """(R, C, T, H, W) -> (R * P, C * K^3): one row per output position.
+
+    The matrix is this thread's reused ``scratch`` array, so it is new only
+    when the previous one is still held or had another shape.
+    """
     video = np.ascontiguousarray(video)
     s_r, s_c, s_t, s_h, s_w = video.strides
+    positions = video.shape[:1] + feature_shape(video.shape[2:])
+    taps = video.shape[1:2] + (KERNEL,) * 3
     # Strided view (R, t, h, w, C, i, j, k) over the clips, copied once.
     windows = np.ndarray(
-        video.shape[:1] + feature_shape(video.shape[2:])
-        + (video.shape[1],) + (KERNEL,) * 3,
+        positions + taps,
         dtype=video.dtype,
         buffer=video,
         strides=(s_r, STRIDE * s_t, STRIDE * s_h, STRIDE * s_w, s_c, s_t, s_h, s_w),
     )
-    return windows.reshape(-1, video.shape[1] * KERNEL**3)
+    cols = scratch("contrastive.cols", (math.prod(positions), math.prod(taps)))
+    cols.reshape(windows.shape)[...] = windows
+    return cols
 
 
 def encode(video: np.ndarray, enc: ToyEncoder) -> tuple[np.ndarray, EncodeCache]:

@@ -13,7 +13,9 @@ runs them as rows of the family's own batch-first calls (the views of one
 ``encode``).  So a pass holds at most 64 probes' intermediates, about 64
 times one forward's, and an input of n entries costs ``ceil(2n / 64)``
 calls instead of 2n.  On the largest family, ``full_chain``, that puts the
-tracemalloc peak at about 1.6 MB (1.0 MB with passes of 16).  The reported
+tracemalloc peak of a repeated call at about 1.6 MB (0.9 MB with passes of
+16); a process's first call also counts the sampler jacobian and im2col
+matrix that stay cached for the next (:mod:`paramcrop.buffers`).  The reported
 figure is the worst absolute deviation normalised by the gradient's own
 magnitude::
 
@@ -95,8 +97,8 @@ def central_difference(fn, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray
     of the flattened *x* is probed at +h then -h; the ``2 * x.size`` probes
     go in that order in passes of at most ``_PASS_PROBES`` = 64, so *fn* runs
     ``ceil(2 * x.size / _PASS_PROBES)`` times.  A pass holds 64 probes'
-    intermediates at once: ``full_chain``'s tracemalloc peak is about 1.6 MB
-    (1.0 MB with passes of 16).  *x* is not modified.
+    intermediates at once: ``full_chain``'s tracemalloc peak on a repeated
+    call is about 1.6 MB (0.9 MB with passes of 16).  *x* is not modified.
     """
     shape = np.shape(x)
     flat = np.array(x, dtype=np.float64).reshape(-1)

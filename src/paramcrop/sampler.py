@@ -24,12 +24,19 @@ them, so :func:`sample_backward` is a reduction over channels: it reads
 neither the clip nor the grid, and the clips can be released once the
 forward is done.  :func:`resample` is the same forward without them, for
 callers that never run a backward.
+
+The jacobian of :func:`sample` is this thread's reused
+:func:`~paramcrop.buffers.scratch` array: once the caller holds neither it
+nor any view of it, the next :func:`sample` of the same shape overwrites it
+and returns it again.  A jacobian still held is never written.  The crops
+are new on every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .buffers import scratch
 from .errors import DimensionError
 
 # Points per pass: rows of P points go max(1, 2048 // P) at a time.
@@ -70,7 +77,9 @@ def _interpolate(
     coords = grid.reshape(n_clips * grid.shape[1], -1, 3)
     n_rows, n_points = coords.shape[:2]
     crops = np.empty((n_rows, n_ch, n_points))
-    jac = np.empty((n_rows, 3, n_ch, n_points)) if with_jacobian else None
+    jac = None
+    if with_jacobian:
+        jac = scratch("sampler.jacobian", (n_rows, 3, n_ch, n_points))
     lengths = (w_len, h_len, t_len)
     # Flat offsets into the clips: of each row's clip, and of each channel
     # plus the four corners of a cell's t face, ordered (x, y) so that each
@@ -145,7 +154,8 @@ def sample(video: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         ``jacobian`` is (N * V, 3, C, P) for ``P`` points per view: the
         derivative of every crop value w.r.t. its point's (x, y, t)
         coordinates, zero in a clamped axis.  It is what
-        :func:`sample_backward` needs.
+        :func:`sample_backward` needs, and is reused by a later call once
+        released (see the module docstring).
     """
     return _interpolate(video, grid, with_jacobian=True)
 

@@ -394,6 +394,19 @@ class TestCompare:
         assert (serial / "compare.csv").read_bytes() == \
             (pooled / "compare.csv").read_bytes()
 
+    def test_thread_pool_keeps_each_threads_scratch_arrays(self, tmp_path, config_path,
+                                                            monkeypatch):
+        # paramcrop runs build the sampler jacobian, so two pool threads each
+        # reuse their own jacobian and im2col arrays across steps.
+        argv = ["compare", "--config", str(config_path), "--strategies",
+                "paramcrop,paramcrop,random"]
+        serial, pooled = tmp_path / "s", tmp_path / "p"
+        main(argv + ["--out", str(serial)])
+        monkeypatch.setenv("PARAMCROP_THREADS", "2")
+        main(argv + ["--out", str(pooled)])
+        assert (serial / "compare.csv").read_bytes() == \
+            (pooled / "compare.csv").read_bytes()
+
 
 class TestSweepDetach:
     def test_writes_summary_rows(self, tmp_path, config_path):
